@@ -26,7 +26,9 @@ print("  product:", len(orb) * len(stab), "=", group_order("odd", 1, 3), "= |SO_
 for m in stab:
     print("  stabilizer element rows:", m.to_strings())
 
-# The full report re-checks all four structural identities by enumeration.
+# The full report checks all four structural identities by orbit-stabilizer:
+# the group order is |orbit| * |stabilizer| of the generated group, never a
+# list of its elements.
 for n, q in [(1, 2), (1, 4), (2, 2)]:
     report = verify_homogeneous(Field.of_order(q), n)
     print(f"\nn={n}, q={q}: pass={report['pass']}  "

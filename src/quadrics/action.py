@@ -1,6 +1,6 @@
 """Field-point models of the odd orthogonal groups inside the ambient
-pointed even space, their action on the quadric, and the verification of
-the orbit/stabilizer structure by exact enumeration.
+pointed even space, their action on the quadric, and the exact verification
+of the orbit/stabilizer structure.
 
 The models, for the pointed even space of dimension 2n+2 over F:
 
@@ -9,16 +9,20 @@ The models, for the pointed even space of dimension 2n+2 over F:
     stabilizer model: SO-model members fixing x_0 = e_{2n+2}
 
 Reflections r_v with t(v) = 0 fix 1, so pairs of them are SO-model members
-and generate the whole SO-model; the enumeration routines exploit this and
-cross-check the resulting orders against the classical formulas
+and generate the whole SO-model.  The homogeneity check grows the orbit of
+x_0 and its stabilizer from a few such pairs (a Schreier tree, Sims 1970;
+Seress, Permutation Group Algorithms, ch. 4) and checks the resulting orders
+against the classical formulas
 
     |SO_{2n+1}(F_q)| = q^(n^2) * prod_{i=1..n} (q^(2i) - 1)
     |SO_{2n}(F_q)|   = q^(n(n-1)) * (q^n - 1) * prod_{i=1..n-1} (q^(2i) - 1)
 
-whose ratio is q^(2n) + q^n, the point count of the quadric.
+whose ratio is q^(2n) + q^n, the point count of the quadric.  Direct
+enumeration of the whole group (column search or reflection closure) stays
+as the cross-check on small cells.
 """
 
-from itertools import product
+from itertools import chain, product
 
 from .errors import (
     DimensionMismatch,
@@ -40,7 +44,7 @@ from .quadform import (
 from .quadric import AmbientQuadricPoint, base_point, enumerate_quadric
 
 BRUTE_GUARD = 10 ** 9     # candidate cap q^(dim^2) for direct enumeration
-CLOSURE_GUARD = 10 ** 6   # largest group order attempted by reflection closure
+CLOSURE_GUARD = 10 ** 6   # largest group listed by closure: the SO-model or Stab(x_0)
 VECTOR_GUARD = 10 ** 8
 
 
@@ -136,28 +140,27 @@ def trace_zero_reflection_vectors(ctx, force=False):
     """All trace-0 vectors with q invertible, normalized so the first
     nonzero coordinate is 1 (proportional vectors give the same reflection);
     structured candidates first, then the lexicographic sweep."""
-    f, n, d = ctx.field, ctx.n, ctx.dim
+    f, d = ctx.field, ctx.dim
     if not f.is_finite:
         raise TooLarge("reflection sweep needs a finite field")
     if not force and f.q ** (d - 1) > VECTOR_GUARD:
         raise TooLarge(f"{f.q}^{d - 1} trace-0 vectors exceeds the sweep guard")
-    seen = set()
-    out = []
+    return [Vector(f, raws) for raws in _trace_zero_sweep(ctx)]
 
-    def push(v):
-        key = _normalize_raws(f, v.raws)
-        if key is not None and key not in seen:
-            if ctx.space.raw_q(key):
-                seen.add(key)
-                out.append(Vector(f, key))
 
-    for v in structured_trace_zero(ctx):
-        push(v)
+def _trace_zero_sweep(ctx, extra=()):
+    """Lazily, the normalized raws of the structured trace-0 vectors, then of
+    the raws in `extra`, then of the lexicographic trace-0 sweep; repeats and
+    vectors with q = 0 are skipped."""
+    f, n, d = ctx.field, ctx.n, ctx.dim
     neg = f.raw_neg
-    for free in product(range(f.q), repeat=d - 1):
-        raws = free + (neg(free[n]),)
-        push(Vector(f, raws))
-    return out
+    swept = (free + (neg(free[n]),) for free in product(range(f.q), repeat=d - 1))
+    seen = set()
+    for raws in chain((v.raws for v in structured_trace_zero(ctx)), extra, swept):
+        key = _normalize_raws(f, raws)
+        if key is not None and key not in seen and ctx.space.raw_q(key):
+            seen.add(key)
+            yield key
 
 
 def _normalize_raws(f, raws):
@@ -256,10 +259,7 @@ def enumerate_isometries(space, fix_one=False, fix_x0=False, dickson_value=None,
         # the odd pairing degenerates in characteristic 2; odd-rank groups
         # are modeled ambiently as 1-fixing isometries instead
         raise DimensionMismatch("isometry enumeration works on even-rank shapes")
-    if not f.is_finite:
-        raise TooLarge("group enumeration needs a finite field")
-    if not force and f.q ** (d * d) > BRUTE_GUARD:
-        raise TooLarge(f"{f.q}^{d * d} candidate matrices exceeds the guard")
+    _isometry_guard(space, force)
     if (fix_one or fix_x0) and space.shape != "pointed_even":
         raise DimensionMismatch("the fixed vectors live in the pointed even space")
     n = space.n
@@ -306,6 +306,15 @@ def enumerate_isometries(space, fix_one=False, fix_x0=False, dickson_value=None,
     if dickson_value is not None:
         out = [m for m in out if dickson(space, m) == dickson_value]
     return out
+
+
+def _isometry_guard(space, force):
+    """Refuse a direct isometry search over q^(dim^2) candidate matrices."""
+    f, d = space.field, space.dim
+    if not f.is_finite:
+        raise TooLarge("group enumeration needs a finite field")
+    if not force and f.q ** (d * d) > BRUTE_GUARD:
+        raise TooLarge(f"{f.q}^{d * d} candidate matrices exceeds the guard")
 
 
 def so_model_closure(ctx, force=False):
@@ -421,6 +430,112 @@ def _raw_reflect(space, gen, w):
     return tuple(sub(wi, mul(c, vi)) for wi, vi in zip(w, v))
 
 
+# -- orbit-stabilizer without listing the group -------------------------------
+
+class OrbitStabilizer:
+    """The orbit of one vector under a growing set of generators, with its
+    Schreier tree and the stabilizer of the vector, on raw row tuples.
+
+    For each orbit point p the tree holds u_p, a product of generators with
+    u_p x = p, and its inverse.  The Schreier generators u_{sp}^{-1} s u_p
+    generate the stabilizer (Schreier's lemma), so once every (point,
+    generator) pair has been fed to it, |<generators>| = |orbit| * |stab|.
+    """
+
+    def __init__(self, field, dim, point):
+        self._matmul, self._matvec = _kernels(field)
+        self._identity = GroupElement.identity(field, dim).rows
+        self.point = point
+        self.tree = {point: (self._identity, self._identity)}
+        self.generators = []
+        self.stabilizer = {self._identity}
+        self._stab_gens = []
+
+    def order(self):
+        """Order of the group generated so far."""
+        return len(self.tree) * len(self.stabilizer)
+
+    def contains(self, g):
+        """Whether g lies in the group generated so far: g x must be an orbit
+        point p, and u_p^{-1} g must lie in the stabilizer."""
+        entry = self.tree.get(self._matvec(g, self.point))
+        return entry is not None and self._matmul(entry[1], g) in self.stabilizer
+
+    def add_generator(self, g, g_inv):
+        """Extend the tree by g, BFS from every point (new points under every
+        generator), and feed each Schreier generator to the stabilizer."""
+        matmul, matvec, tree = self._matmul, self._matvec, self.tree
+        self.generators.append((g, g_inv))
+        work = [(p, [(g, g_inv)]) for p in tree]
+        for p, gens in work:   # grows while it is walked: the BFS queue
+            u, u_inv = tree[p]
+            for s, s_inv in gens:
+                image = matvec(s, p)
+                su = matmul(s, u)
+                known = tree.get(image)
+                if known is None:
+                    tree[image] = (su, matmul(u_inv, s_inv))
+                    work.append((image, self.generators))
+                else:
+                    self._close(matmul(known[1], su))
+
+    def _close(self, h):
+        """Grow the stabilizer H to <H, h> if h is not in it, by Dimino's
+        method: the result is a union of cosets H r, and a coset H rs is
+        added whenever r s falls outside it for a coset representative r
+        and a generator s."""
+        stab = self.stabilizer
+        if h in stab:
+            return
+        matmul = self._matmul
+        old = list(stab)
+        self._stab_gens.append(h)
+        reps = [self._identity]
+        for r in reps:
+            for s in self._stab_gens:
+                e = matmul(r, s)
+                if e not in stab:
+                    reps.append(e)
+                    stab.update(matmul(x, e) for x in old)
+
+
+def so_orbit_stabilizer(ctx, force=False):
+    """The orbit of x_0 and its stabilizer in the SO-model, without listing
+    the group.  The generators are reflection pairs r_a r_v on trace-0
+    vectors: the structured ones, in odd characteristic one of non-square
+    norm (reflections whose norms are all squares generate a proper
+    subgroup), then the trace-0 sweep, drawn one at a time while
+    |orbit| * |Stab| is below |SO_{2n+1}(F_q)|.  A pair already in the
+    generated group is skipped.  Returns the OrbitStabilizer and the pair
+    generators as GroupElements."""
+    f, n = ctx.field, ctx.n
+    if not f.is_finite:
+        raise TooLarge("orbit-stabilizer needs a finite field")
+    even_order = group_order("even_split", n, f.q)
+    if not force and even_order > CLOSURE_GUARD:
+        raise TooLarge(f"stabilizer order {even_order} exceeds the closure guard")
+    extra = ()
+    if f.characteristic != 2:
+        # e_1 + c e_{n+2} has trace 0 and norm c, a non-square
+        c = next(a for a in range(2, f.q) if f.raw_sqrt(a) is None)
+        extra = (tuple(1 if i == 0 else c if i == n + 1 else 0 for i in range(ctx.dim)),)
+    expected = group_order("odd", n, f.q)
+    found = OrbitStabilizer(f, ctx.dim, ctx.x0.raws)
+    anchor, gens = None, []
+    for raws in _trace_zero_sweep(ctx, extra):
+        if found.order() >= expected:
+            break
+        r = reflection_matrix(ctx.space, Vector(f, raws))
+        if anchor is None:
+            anchor = r
+            continue
+        g = anchor * r
+        if not found.contains(g.rows):
+            gens.append(g)
+            found.add_generator(g.rows, (r * anchor).rows)
+    return found, gens
+
+
 # -- orders and verification reports ----------------------------------------
 
 def group_order(kind, n, q):
@@ -444,34 +559,40 @@ def group_order(kind, n, q):
 
 
 def verify_homogeneous(field, n, force=False):
-    """Check, by exhaustive computation over F_q, that the quadric is the
-    orbit of x_0 under the SO-model with stabilizer the extended even group:
+    """Check, by exact computation over F_q, that the quadric is the orbit
+    of x_0 under the SO-model with stabilizer the extended even group:
 
       (a) orbit(x_0) = all quadric points,
       (b) |stabilizer(x_0)| = |SO_{2n}(F_q)|,
-      (c) |orbit| * |stabilizer| = |SO_{2n+1}(F_q)| = |SO-model|,
+      (c) |orbit| * |stabilizer| = |SO_{2n+1}(F_q)|, with every generator in
+          the SO-model, so the generated group is the whole SO-model,
       (d) stabilizer(x_0) = extend_even(SO_{2n}(F_q)) as sets.
+
+    Orbit and stabilizer come from so_orbit_stabilizer; the group itself is
+    never listed.  The guards of the even-group search and of the
+    stabilizer closure fire before any enumeration starts.
     """
     ctx = GroupContext(field, n)
-    q = field.q
+    _isometry_guard(ctx.even_space, force)
+    found, gens = so_orbit_stabilizer(ctx, force=force)
     points = enumerate_quadric(ctx.space, force=force)
-    orb = orbit(ctx, force=force)
-    members = enumerate_group(ctx, "so_odd", force=force)
-    stab = stabilizer(ctx, base_point(ctx.space), members=members)
     even_so = enumerate_isometries(ctx.even_space, dickson_value=0, force=force)
-    extended = {ctx.extend_even(m) for m in even_so}
+    extended = {ctx.extend_even(m).rows for m in even_so}
 
-    odd_order = group_order("odd", n, q)
-    even_order = group_order("even_split", n, q)
+    odd_order = group_order("odd", n, field.q)
+    even_order = group_order("even_split", n, field.q)
+    orb, stab = set(found.tree), found.stabilizer
+    group_size = len(orb) * len(stab)
     checks = {
-        "orbit_covers_quadric": set(p.w for p in orb) == set(p.w for p in points),
+        "orbit_covers_quadric": orb == {p.w.raws for p in points},
         "stabilizer_order": len(stab) == even_order,
-        "orbit_stabilizer_product": len(orb) * len(stab) == odd_order == len(members),
-        "stabilizer_is_extended_even": set(stab) == extended,
+        "orbit_stabilizer_product": (all(in_so_odd(ctx, g) for g in gens)
+                                     and group_size == odd_order),
+        "stabilizer_is_extended_even": stab == extended,
     }
     witnesses = []
     if not checks["orbit_covers_quadric"]:
-        missing = [p for p in points if p.w not in set(o.w for o in orb)]
+        missing = [p for p in points if p.w.raws not in orb]
         witnesses = [p.w.to_strings() for p in missing[:3]]
     report = {
         "check": "homogeneous",
@@ -480,7 +601,7 @@ def verify_homogeneous(field, n, force=False):
         "quadric_points": len(points),
         "orbit_size": len(orb),
         "stab_size": len(stab),
-        "group_size": len(members),
+        "group_size": group_size,
         "group_order": odd_order,
         "even_group_order": even_order,
         "checks": checks,

@@ -48,14 +48,14 @@ def _build_parser():
 
     def common(p, symbolic_q=False):
         p.add_argument("--n", type=int, required=True, help="rank parameter n")
-        p.add_argument("--field", help="field spec: p or p^k")
+        p.add_argument("--field", help="field spec: p^k, its order q, or Q")
         if symbolic_q:
             p.add_argument("--q", type=int, help="symbolic prime power (no enumeration)")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--force", action="store_true", help="override size guards")
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="worker processes for point batches")
+        p.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
+                       help="worker processes for point batches (at least 1)")
 
     p_count = sub.add_parser("count", help="point counts: closed form, recursion, enumeration")
     common(p_count, symbolic_q=True)
@@ -71,6 +71,16 @@ def _build_parser():
     p_tr.add_argument("--height", type=int, default=DEFAULT_HEIGHT,
                       help="integer search height over the rationals")
     return parser
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def _default_jobs():

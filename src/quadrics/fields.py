@@ -150,14 +150,15 @@ class Field:
 
     @classmethod
     def parse(cls, spec):
-        """Build a field from a string such as "5", "2^3", or "Q"."""
+        """Build a field from a string such as "5", "2^3", "8", or "Q"; a bare
+        integer is the order of the field."""
         spec = spec.strip()
         if spec in ("Q", "QQ", "rational", "rationals"):
             return cls.rationals()
         if "^" in spec:
             p_str, k_str = spec.split("^", 1)
             return cls.extension(int(p_str), int(k_str))
-        return cls.prime(int(spec))
+        return cls.of_order(int(spec))
 
     @classmethod
     def of_order(cls, q):

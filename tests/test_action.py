@@ -16,6 +16,7 @@ from quadrics.action import (
     orbit,
     reflection_generators,
     so_model_closure,
+    so_orbit_stabilizer,
     stabilizer,
     verify_homogeneous,
     verify_similitude_orbit,
@@ -220,6 +221,29 @@ def test_stabilizer_equals_extended_even_group():
         extended = {c.extend_even(m)
                     for m in enumerate_isometries(c.even_space, dickson_value=0)}
         assert stab == extended
+
+
+@pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F2, 2)])
+def test_schreier_stabilizer_matches_direct_enumeration(field, n):
+    c = GroupContext(field, n)
+    found, gens = so_orbit_stabilizer(c)
+    # the direct column search over 2^36 candidates at (2, 2) needs force
+    members = enumerate_group(c, "so_odd", method="direct", force=True)
+    direct = stabilizer(c, c.x0, members=members)
+    assert {GroupElement(field, rows) for rows in found.stabilizer} == set(direct)
+    assert {p.w.raws for p in orbit(c)} == set(found.tree)
+    assert found.order() == len(members) == group_order("odd", n, field.q)
+    assert all(in_so_odd(c, g) for g in gens)
+    for p, (u, u_inv) in found.tree.items():
+        assert GroupElement(field, u).apply(c.x0).raws == p
+        assert GroupElement(field, u) * GroupElement(field, u_inv) == \
+            GroupElement.identity(field, c.dim)
+
+
+def test_orbit_stabilizer_guard():
+    # |SO_6(F_4)| = 4^6 (4^3 - 1)(4^2 - 1)(4^4 - 1) is past the closure guard
+    with pytest.raises(TooLarge):
+        so_orbit_stabilizer(GroupContext(F4, 3))
 
 
 # -- orders ------------------------------------------------------------------------

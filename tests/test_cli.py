@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -156,5 +157,101 @@ def test_extension_field_spec(capsys):
     code, out = run(capsys, "count", "--n", "1", "--field", "2^2")
     record = json.loads(out)
     assert code == 0 and record["count"] == 20
-    # "4" is not of the form p or p^k with p prime
-    assert main(["count", "--n", "1", "--field", "4"]) == 2
+    # a bare prime power names the same field as p^k
+    assert run(capsys, "count", "--n", "1", "--field", "4") == (code, out)
+    # 6 is not a prime power, so no field has that order
+    assert main(["count", "--n", "1", "--field", "6"]) == 2
+    assert "6 is not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_must_be_positive(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["transport", "--n", "1", "--field", "2", "--all", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+
+
+def test_homogeneous_guards_fire_before_work(capsys):
+    # the even-group search over 4^16 candidates is refused before the
+    # orbit, the stabilizer or the quadric is enumerated
+    start = time.perf_counter()
+    code = main(["verify", "homogeneous", "--n", "2", "--field", "2^2"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and elapsed < 2.0
+    assert captured.err == "error: 4^16 candidate matrices exceeds the guard\n"
+    assert captured.out == ""
+
+
+# `verify homogeneous` reports as the whole-group enumeration printed them;
+# the orbit-stabilizer route must reproduce them byte for byte.
+HOMOGENEOUS_GOLDEN = {
+    ("1", "3^2"): """{
+  "check": "homogeneous",
+  "n": 1,
+  "field": "3^2",
+  "quadric_points": 90,
+  "orbit_size": 90,
+  "stab_size": 8,
+  "group_size": 720,
+  "group_order": 720,
+  "even_group_order": 8,
+  "checks": {
+    "orbit_covers_quadric": true,
+    "stabilizer_order": true,
+    "orbit_stabilizer_product": true,
+    "stabilizer_is_extended_even": true
+  },
+  "pass": true,
+  "witnesses": []
+}
+""",
+    ("2", "2"): """{
+  "check": "homogeneous",
+  "n": 2,
+  "field": "2",
+  "quadric_points": 20,
+  "orbit_size": 20,
+  "stab_size": 36,
+  "group_size": 720,
+  "group_order": 720,
+  "even_group_order": 36,
+  "checks": {
+    "orbit_covers_quadric": true,
+    "stabilizer_order": true,
+    "orbit_stabilizer_product": true,
+    "stabilizer_is_extended_even": true
+  },
+  "pass": true,
+  "witnesses": []
+}
+""",
+    ("2", "3"): """{
+  "check": "homogeneous",
+  "n": 2,
+  "field": "3",
+  "quadric_points": 90,
+  "orbit_size": 90,
+  "stab_size": 576,
+  "group_size": 51840,
+  "group_order": 51840,
+  "even_group_order": 576,
+  "checks": {
+    "orbit_covers_quadric": true,
+    "stabilizer_order": true,
+    "orbit_stabilizer_product": true,
+    "stabilizer_is_extended_even": true
+  },
+  "pass": true,
+  "witnesses": []
+}
+""",
+}
+
+
+@pytest.mark.parametrize("n,spec", sorted(HOMOGENEOUS_GOLDEN))
+def test_verify_homogeneous_golden_bytes(capsys, n, spec):
+    code, out = run(capsys, "verify", "homogeneous", "--n", n, "--field", spec)
+    assert code == 0
+    assert out == HOMOGENEOUS_GOLDEN[(n, spec)]

@@ -52,6 +52,7 @@ def test_size_caps():
 def test_parse_field_spec():
     assert Field.parse("5") == F5
     assert Field.parse("2^2") == F4
+    assert Field.parse("4") == F4
     assert Field.parse("Q") == Q
 
 
