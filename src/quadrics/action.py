@@ -37,6 +37,7 @@ from .quadform import (
     GroupElement,
     SplitSpace,
     Vector,
+    _dickson,
     dickson,
     is_isometry,
     reflection_matrix,
@@ -107,7 +108,10 @@ def act(ctx, m, point):
     quadric because q is preserved and t(mx) = B(mx, m1) = t(x)."""
     if not isinstance(point, AmbientQuadricPoint) or point.space != ctx.space:
         raise NotOnQuadric("point does not belong to this context's quadric")
-    if not in_so_odd(ctx, m):
+    key = ("in_so_odd", ctx.field.key, ctx.n)   # m is immutable: test it once
+    if key not in m.cache:
+        m.cache[key] = in_so_odd(ctx, m)
+    if not m.cache[key]:
         raise NotAMember("matrix is not in the SO-model")
     return AmbientQuadricPoint(ctx.space, m.apply(point.w))
 
@@ -304,7 +308,8 @@ def enumerate_isometries(space, fix_one=False, fix_x0=False, dickson_value=None,
     place(0)
     out = [GroupElement(f, rows) for rows in results]
     if dickson_value is not None:
-        out = [m for m in out if dickson(space, m) == dickson_value]
+        # every column search result is an isometry by construction
+        out = [m for m in out if _dickson(space, m) == dickson_value]
     return out
 
 

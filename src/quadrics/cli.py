@@ -5,23 +5,23 @@ or configuration error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 from multiprocessing import Pool
 
 from .action import GroupContext, verify_homogeneous, verify_similitude_orbit
-from .errors import NotOnQuadric, QuadricsError, TooLarge, Unreachable
+from .errors import NotOnQuadric, QuadricsError, TooLarge
 from .fields import Field, is_prime_power
 from .quadric import count_closed_form, count_recursive, count_report
 from .spinfactor import verify_projective_space
-from .transport import DEFAULT_HEIGHT, quadric_transport, transport_all
+from .transport import quadric_transport, transport_all
 from .quadform import Vector
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "count":
             record, failed = _cmd_count(args)
@@ -30,16 +30,17 @@ def main(argv=None):
         else:
             record, failed = _cmd_transport(args)
     except (TooLarge, ValueError, QuadricsError) as exc:
-        if isinstance(exc, (NotOnQuadric, Unreachable)):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, NotOnQuadric) else 2
     _emit(record, args)
     return 1 if failed else 0
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on the first main() call and then reused:
+    parsing leaves it unchanged, and defaults that depend on the environment
+    are resolved when a command runs."""
     parser = argparse.ArgumentParser(
         prog="quadrics",
         description="Split quadric point counts, group actions, and reflection transport.",
@@ -54,8 +55,9 @@ def _build_parser():
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--force", action="store_true", help="override size guards")
-        p.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
-                       help="worker processes for point batches (at least 1)")
+        p.add_argument("--jobs", type=_positive_int,
+                       help="worker processes for point batches (at least 1; "
+                            "default from QK_JOBS, else 1)")
 
     p_count = sub.add_parser("count", help="point counts: closed form, recursion, enumeration")
     common(p_count, symbolic_q=True)
@@ -68,8 +70,6 @@ def _build_parser():
     common(p_tr)
     p_tr.add_argument("--point", help="comma-separated target coordinates")
     p_tr.add_argument("--all", action="store_true", help="transport every point")
-    p_tr.add_argument("--height", type=int, default=DEFAULT_HEIGHT,
-                      help="integer search height over the rationals")
     return parser
 
 
@@ -144,10 +144,11 @@ def _cmd_transport(args):
         raise ValueError("--n must be at least 1")
     ctx = GroupContext(field, args.n)
     if args.all:
-        if args.jobs > 1 and field.is_finite:
-            record = _transport_all_parallel(ctx, args)
+        jobs = args.jobs if args.jobs is not None else _default_jobs()
+        if jobs > 1 and field.is_finite:
+            record = _transport_all_parallel(ctx, jobs, args.force)
         else:
-            certs, stats = transport_all(ctx, height=args.height, force=args.force)
+            certs, stats = transport_all(ctx, force=args.force)
             record = {
                 "check": "transport_all", "n": args.n, "field": str(field),
                 "total": len(certs), "verified": sum(c.verified for c in certs),
@@ -161,26 +162,26 @@ def _cmd_transport(args):
         raise ValueError("provide --point or --all")
     coords = [field.parse_element(s) for s in args.point.split(",")]
     target = Vector(field, (c.rep for c in coords))
-    cert = quadric_transport(ctx, target, height=args.height, force=args.force)
+    cert = quadric_transport(ctx, target)
     return cert.to_dict(), False
 
 
 def _transport_worker(payload):
-    n, field_spec, point_strings, height = payload
+    n, field_spec, point_strings = payload
     field = Field.parse(field_spec)
     ctx = GroupContext(field, n)
     coords = [field.parse_element(s) for s in point_strings]
-    cert = quadric_transport(ctx, Vector(field, (c.rep for c in coords)), height=height)
+    cert = quadric_transport(ctx, Vector(field, (c.rep for c in coords)))
     return cert.to_dict()
 
 
-def _transport_all_parallel(ctx, args):
+def _transport_all_parallel(ctx, jobs, force):
     from .quadric import enumerate_quadric
-    points = enumerate_quadric(ctx.space, force=args.force)
-    payloads = [(ctx.n, str(ctx.field), p.w.to_strings(), args.height) for p in points]
-    with Pool(args.jobs) as pool:
+    points = enumerate_quadric(ctx.space, force=force)
+    payloads = [(ctx.n, str(ctx.field), p.w.to_strings()) for p in points]
+    with Pool(jobs) as pool:
         dicts = pool.map(_transport_worker, payloads)
-    stats = {"identity": 0, "case1": 0, "case2": 0, "bfs": 0}
+    stats = {"identity": 0, "case1": 0, "case2": 0}
     for d in dicts:
         stats[d["path"]] += 1
     return {

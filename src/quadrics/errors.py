@@ -91,10 +91,6 @@ class SearchExhausted(QuadricsError):
     pass
 
 
-class Unreachable(QuadricsError):
-    pass
-
-
 class IsotropicVector(QuadricsError):
     pass
 

@@ -261,7 +261,7 @@ class Field:
             return pow(a, -1, self.p)
         if self.kind == "extension":
             return self._inv[a]
-        return 1 / a
+        return Fraction(1, a)   # 1 / a would be a float for an int a
 
     def raw_div(self, a, b):
         return self.raw_mul(a, self.raw_inv(b))

@@ -101,7 +101,7 @@ class Vector:
 class SplitSpace:
     """A split quadratic space of one of the three shapes above."""
 
-    __slots__ = ("field", "shape", "n", "dim")
+    __slots__ = ("field", "shape", "n", "dim", "_basis_values")
 
     def __init__(self, field, shape, n):
         if shape not in SHAPES:
@@ -112,6 +112,7 @@ class SplitSpace:
         self.shape = shape
         self.n = n
         self.dim = {"even": 2 * n, "odd": 2 * n + 1, "pointed_even": 2 * n + 2}[shape]
+        self._basis_values = None
 
     @classmethod
     def even(cls, field, n):
@@ -205,6 +206,17 @@ class SplitSpace:
             two_uw = mul(u[2 * n], w[2 * n])
             total = add(total, add(two_uw, two_uw))
         return total
+
+    def raw_polar(self, raws):
+        """(B(v, e_1), ..., B(v, e_d)): each coordinate's hyperbolic partner,
+        and 2 v_{2n+1} in the last slot of the odd shape."""
+        n = self.n
+        if self.shape == "pointed_even":
+            return raws[n + 1:] + raws[:n + 1]
+        out = raws[n:2 * n] + raws[:n]
+        if self.shape == "odd":
+            out += (self.field.raw_add(raws[2 * n], raws[2 * n]),)
+        return out
 
     def eval_q(self, v):
         self._check_dim(v)
@@ -322,7 +334,10 @@ class GroupElement:
         return Vector(f, out)
 
     def _elimination(self):
-        """Row-reduce [M | I]; return (rank, det_raw, inverse rows or None)."""
+        """Row-reduce [M | I] once; return (rank, det_raw, inverse rows or
+        None), cached together on the matrix."""
+        if "elimination" in self.cache:
+            return self.cache["elimination"]
         f = self.field
         d = self.dim
         aug = [list(row) + [1 if i == j else 0 for j in range(d)]
@@ -348,7 +363,9 @@ class GroupElement:
                               for x, y in zip(aug[r], aug[rank])]
             rank += 1
         inverse = [tuple(row[d:]) for row in aug] if rank == d else None
-        return rank, (det if rank == d else 0), inverse
+        result = rank, (det if rank == d else 0), inverse
+        self.cache["elimination"] = result
+        return result
 
     def rank(self):
         return self._elimination()[0]
@@ -403,9 +420,20 @@ def reflect(space, v, w):
 
 
 def reflection_matrix(space, v):
-    """The matrix of r_v, column j the reflection of e_{j+1}."""
-    cols = [reflect(space, v, space.basis_vector(j)) for j in range(space.dim)]
-    m = GroupElement.from_columns(space.field, cols)
+    """The matrix of r_v, I - v (B(v, e_j) / q(v))_j: column j is the
+    reflection of e_{j+1}."""
+    space._check_dim(v)
+    f = space.field
+    qv = space.raw_q(v.raws)
+    if not qv:
+        raise NonUnitNorm("reflection vector has q = 0")
+    sub, mul = f.raw_sub, f.raw_mul
+    inv_q = f.raw_inv(qv)
+    coeffs = [mul(inv_q, b) for b in space.raw_polar(v.raws)]
+    one, zero = f.one.rep, f.zero.rep
+    m = GroupElement(f, [[sub(one if i == j else zero, mul(vi, c))
+                          for j, c in enumerate(coeffs)]
+                         for i, vi in enumerate(v.raws)])
     m.cache["dickson"] = 1
     m.cache["similitude"] = 1
     return m
@@ -414,12 +442,15 @@ def reflection_matrix(space, v):
 # -- isometries and similitudes ----------------------------------------------
 
 def _basis_form_values(space):
-    d = space.dim
-    basis = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-    q_vals = [space.raw_q(b) for b in basis]
-    b_vals = {(i, j): space.raw_b(basis[i], basis[j])
-              for i in range(d) for j in range(i + 1, d)}
-    return q_vals, b_vals
+    """q(e_j) and B(e_i, e_j) for i < j, computed once per space."""
+    if space._basis_values is None:
+        d = space.dim
+        basis = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
+        q_vals = [space.raw_q(b) for b in basis]
+        b_vals = {(i, j): space.raw_b(basis[i], basis[j])
+                  for i in range(d) for j in range(i + 1, d)}
+        space._basis_values = q_vals, b_vals
+    return space._basis_values
 
 
 def is_isometry(space, m):
@@ -471,6 +502,12 @@ def dickson(space, m):
         return m.cache["dickson"]
     if not is_isometry(space, m):
         raise NotAnIsometry("Dickson invariant of a non-isometry")
+    return _dickson(space, m)
+
+
+def _dickson(space, m):
+    """dickson() for a matrix the caller has just shown to be an isometry of
+    this even-rank space; computed from m itself, whatever its cache holds."""
     f = space.field
     if f.characteristic == 2:
         shifted = GroupElement(f, [tuple(f.raw_sub(x, 1 if i == j else 0)

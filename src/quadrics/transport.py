@@ -8,15 +8,16 @@ Two-case recipe for moving x to y with q(x) = q(y):
            r_w(r_{w'}(x)) = y.
 
 For quadric points the reflection vectors are restricted to the trace-0
-subspace, so the assembled element fixes 1; a single-reflection word is
+subspace, so the assembled element fixes 1.  Both cases have closed forms
+there, with no search: case 1 is the single reflection r_{w - x_0},
 post-composed with r_{u*}, u* = e_1 + e_{n+2} (which fixes both 1 and x_0),
-to land in the Dickson-0 model.  Every certificate is re-verified before it
-is returned.
+to land in the Dickson-0 model; case 2 happens exactly when w_{n+1} = 0, and
+then a = e_{n+1} - e_{2n+2} serves as the auxiliary vector over every field.
+Each certificate costs O(d^3) and is re-verified before it is returned.
 """
 
-from itertools import product
+from itertools import chain, product
 
-from . import action
 from .errors import (
     InfiniteField,
     InvariantViolation,
@@ -25,9 +26,17 @@ from .errors import (
     NormMismatch,
     NotOnQuadric,
     SearchExhausted,
-    Unreachable,
 )
-from .quadform import GroupElement, Vector, dickson, is_isometry, reflection_matrix, similitude_factor
+from .quadform import (
+    GroupElement,
+    Vector,
+    _dickson,
+    dickson,
+    is_isometry,
+    reflect,
+    reflection_matrix,
+    similitude_factor,
+)
 from .quadric import AmbientQuadricPoint, is_on_quadric
 
 DEFAULT_HEIGHT = 5
@@ -52,17 +61,18 @@ class TransportCertificate:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "path", path)
-        m = GroupElement.identity(space.field, space.dim)
+        m = None
         for v in self.word:
-            m = m * reflection_matrix(space, v)
+            r = reflection_matrix(space, v)
+            m = r if m is None else m * r
+        if m is None:
+            m = GroupElement.identity(space.field, space.dim)
         if scalar is not None:
             m = m * GroupElement.scalar(space.field, space.dim, scalar)
         object.__setattr__(self, "matrix", m)
-        # the Dickson invariant is carried for isometric assemblies only
-        if space.shape != "odd" and is_isometry(space, m):
-            d = dickson(space, m)
-        else:
-            d = None
+        # the Dickson invariant is carried for isometric assemblies only, and
+        # computed from the assembled matrix once is_isometry has passed
+        d = _dickson(space, m) if space.shape != "odd" and is_isometry(space, m) else None
         object.__setattr__(self, "dickson", d)
         if not self.verify():
             raise InvariantViolation("transport certificate failed verification")
@@ -148,18 +158,6 @@ def _full_sweep(space, height):
         yield Vector(f, raws)
 
 
-def _trace_zero_sweep(space, height):
-    """Trace-0 vectors: coordinate 2n+2 is forced to -v_{n+1}."""
-    f, n, d = space.field, space.n, space.dim
-    if f.is_finite:
-        coords = range(f.q)
-    else:
-        coords = [f.element(c).rep for c in range(-height, height + 1)]
-    neg = f.raw_neg
-    for free in product(coords, repeat=d - 1):
-        yield Vector(f, free + (neg(free[n]),))
-
-
 # -- the transport operations -------------------------------------------------
 
 def reflection_transport(space, x, y, candidates=None, height=DEFAULT_HEIGHT):
@@ -171,7 +169,6 @@ def reflection_transport(space, x, y, candidates=None, height=DEFAULT_HEIGHT):
     """
     space._check_dim(x)
     space._check_dim(y)
-    f = space.field
     if x == y:
         return TransportCertificate(space, [], None, x, y, "identity")
     qx, qy = space.raw_q(x.raws), space.raw_q(y.raws)
@@ -181,26 +178,19 @@ def reflection_transport(space, x, y, candidates=None, height=DEFAULT_HEIGHT):
     if space.raw_q(diff.raws):
         return TransportCertificate(space, [diff], None, x, y, "case1")
     if candidates is None:
-        candidates = list(_structured_candidates(space)) + list(_full_sweep(space, height))
+        candidates = chain(_structured_candidates(space), _full_sweep(space, height))
     for w in candidates:
         if not space.raw_q(w.raws):
             continue
         if not space.raw_b(x.raws, w.raws) or not space.raw_b(y.raws, w.raws):
             continue
-        w_prime = x - _reflect_vec(space, w, y)
+        w_prime = x - reflect(space, w, y)
         if not space.raw_q(w_prime.raws):
             # q(w') = B(w,x) B(w,y) / q(w) is nonzero under the search
             # conditions; reaching this line would falsify that identity
             raise InvariantViolation("two-reflection auxiliary vector has q = 0")
         return TransportCertificate(space, [w, w_prime], None, x, y, "case2")
     raise SearchExhausted("no auxiliary vector w with q(w), B(x,w), B(y,w) all nonzero")
-
-
-def _reflect_vec(space, v, w):
-    f = space.field
-    c = f.raw_div(space.raw_b(v.raws, w.raws), space.raw_q(v.raws))
-    sub, mul = f.raw_sub, f.raw_mul
-    return Vector(f, (sub(a, mul(c, b)) for a, b in zip(w.raws, v.raws)))
 
 
 def dickson_fixer(ctx):
@@ -212,10 +202,19 @@ def dickson_fixer(ctx):
     return Vector.of(ctx.field, vals)
 
 
-def quadric_transport(ctx, point, height=DEFAULT_HEIGHT, force=False):
+def case2_vector(ctx):
+    """a = e_{n+1} - e_{2n+2}: q(a) = -1, t(a) = 0, B(x_0, a) = 1, and
+    B(w, a) = w_{2n+2} - w_{n+1} = 1 at every quadric point w with
+    w_{n+1} = 0, which are exactly the points of case 2."""
+    vals = [0] * ctx.dim
+    vals[ctx.n] = 1
+    vals[-1] = -1
+    return Vector.of(ctx.field, vals)
+
+
+def quadric_transport(ctx, point):
     """A verified SO-model certificate moving x_0 to the given quadric point,
-    with a trace-0 reflection word of length at most 3 (or a logged BFS word
-    when the two-case search is exhausted)."""
+    with a trace-0 reflection word of length at most 2, built in closed form."""
     space = ctx.space
     if isinstance(point, AmbientQuadricPoint):
         if point.space != space:
@@ -233,64 +232,15 @@ def quadric_transport(ctx, point, height=DEFAULT_HEIGHT, force=False):
         # r_diff moves x_0 to the target but has Dickson 1; compose with r_{u*}
         word = [diff, dickson_fixer(ctx)]
         return TransportCertificate(space, word, None, x0, target, "case1")
-    try:
-        candidates = _quadric_case2_candidates(ctx, target, height)
-        a = next(candidates)
-    except StopIteration:
-        return _bfs_transport(ctx, target, force=force)
-    a_prime = target - _reflect_vec(space, a, x0)
-    if space.raw_q(a_prime.raws) == 0 or space.raw_trace(a_prime.raws) != 0:
+    # q(target - x_0) = -target_{n+1} = 0: case 2 with the closed-form a
+    a = case2_vector(ctx)
+    if (space.raw_trace(a.raws) or not space.raw_q(a.raws)
+            or not space.raw_b(x0.raws, a.raws) or not space.raw_b(target.raws, a.raws)):
+        raise InvariantViolation("case-2 vector a violated its guarantees")
+    a_prime = target - reflect(space, a, x0)
+    if not space.raw_q(a_prime.raws) or space.raw_trace(a_prime.raws):
         raise InvariantViolation("case-2 auxiliary vector violated its guarantees")
     return TransportCertificate(space, [a_prime, a], None, x0, target, "case2")
-
-
-def _quadric_case2_candidates(ctx, target, height):
-    space = ctx.space
-    stream = list(_structured_candidates(space)) + list(_trace_zero_sweep(space, height))
-    x0_raws = ctx.x0.raws
-    for a in stream:
-        if space.raw_trace(a.raws):
-            continue
-        if not space.raw_q(a.raws):
-            continue
-        if not space.raw_b(target.raws, a.raws):
-            continue
-        if not space.raw_b(x0_raws, a.raws):
-            continue
-        yield a
-
-
-def _bfs_transport(ctx, target, force=False):
-    """Breadth-first word search over reflection-pair generators; words come
-    out with even length, hence Dickson 0."""
-    space, f = ctx.space, ctx.field
-    if not f.is_finite:
-        raise Unreachable("BFS fallback requires a finite field")
-    vectors = action.trace_zero_reflection_vectors(ctx, force=force)
-    gens = [(v, f.raw_inv(space.raw_q(v.raws))) for v in vectors]
-    anchor = gens[0]
-    x0_raws = ctx.x0.raws
-    parent = {x0_raws: None}
-    frontier = [x0_raws]
-    while frontier and target.raws not in parent:
-        fresh = []
-        for w in frontier:
-            for g in gens:
-                image = action._raw_reflect(space, (anchor[0].raws, anchor[1]),
-                                            action._raw_reflect(space, (g[0].raws, g[1]), w))
-                if image not in parent:
-                    parent[image] = (w, g[0])
-                    fresh.append(image)
-        frontier = fresh
-    if target.raws not in parent:
-        raise Unreachable("BFS exhausted the orbit without reaching the target")
-    word = []
-    cursor = target.raws
-    while parent[cursor] is not None:
-        prev, second = parent[cursor]
-        word.extend([anchor[0], second])
-        cursor = prev
-    return TransportCertificate(space, word, None, ctx.x0, target, "bfs")
 
 
 def similitude_transport(space, v, height=DEFAULT_HEIGHT):
@@ -317,13 +267,13 @@ def similitude_transport(space, v, height=DEFAULT_HEIGHT):
                                 "scaled_" + inner.path)
 
 
-def transport_all(ctx, height=DEFAULT_HEIGHT, force=False):
+def transport_all(ctx, force=False):
     """Certificates for every point of the quadric over a finite field,
     in enumeration order, with path statistics."""
     from .quadric import enumerate_quadric
     points = enumerate_quadric(ctx.space, force=force)
-    certs = [quadric_transport(ctx, p, height=height, force=force) for p in points]
-    stats = {"identity": 0, "case1": 0, "case2": 0, "bfs": 0}
+    certs = [quadric_transport(ctx, p) for p in points]
+    stats = {"identity": 0, "case1": 0, "case2": 0}
     for c in certs:
         stats[c.path] += 1
     return certs, stats

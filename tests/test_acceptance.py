@@ -105,7 +105,7 @@ def test_criterion_5_constructive_transitivity():
                     and in_so_odd(ctx, cert.matrix)
                     and cert.matrix.apply(ctx.one) == ctx.one
                     and cert.matrix.apply(ctx.x0) == cert.target
-                    and (len(cert.word) <= 3 or cert.path == "bfs"))
+                    and len(cert.word) <= 3)
             verified += good
             ok = ok and good
         ok = ok and len(certs) == count_closed_form(n, q)

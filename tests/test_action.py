@@ -98,6 +98,23 @@ def test_act():
         act(ctx2(), identity, x0)
 
 
+def test_act_tests_membership_once_per_matrix(monkeypatch):
+    import quadrics.action as action
+    c = ctx3()
+    points = enumerate_quadric(c.space)
+    calls = []
+    real = action.in_so_odd
+    monkeypatch.setattr(action, "in_so_odd", lambda ctx, m: calls.append(m) or real(ctx, m))
+    g = reflection_matrix(c.space, c.space.vector([0, 1, 0, 2])) * \
+        reflection_matrix(c.space, c.space.vector([1, 0, 1, 0]))
+    r = reflection_matrix(c.space, c.space.vector([0, 1, 0, 2]))
+    for p in points:
+        act(c, g, p)
+        with pytest.raises(NotAMember):   # a cached refusal still refuses
+            act(c, r, p)
+    assert calls == [g, r]
+
+
 @pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F4, 1), (F2, 2)])
 def test_act_preserves_quadric_exhaustive(field, n):
     from quadrics.quadric import is_on_quadric

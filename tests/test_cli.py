@@ -94,8 +94,148 @@ def test_transport_all(capsys):
     record = json.loads(out)
     assert code == 0
     assert record["total"] == record["verified"] == 6
-    assert record["paths"]["bfs"] == 0
+    assert set(record["paths"]) == {"identity", "case1", "case2"}
     assert sum(record["paths"].values()) == 6
+
+
+def test_qk_jobs_is_read_at_call_time(capsys, monkeypatch):
+    import quadrics.cli as cli
+    monkeypatch.delenv("QK_JOBS", raising=False)
+    code, serial = run(capsys, "transport", "--n", "1", "--field", "2", "--all")
+    assert code == 0
+    pools = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(cli, "Pool", SerialPool)
+    monkeypatch.setenv("QK_JOBS", "3")
+    code, pooled = run(capsys, "transport", "--n", "1", "--field", "2", "--all")
+    assert code == 0 and pools == [3]
+    assert pooled == serial
+
+
+def test_transport_height_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transport", "--n", "1", "--field", "Q", "--point", "0,0,0,1",
+              "--height", "3"])
+    assert exc.value.code == 2
+
+
+# case-2 reports (w_{n+1} = 0) as the trace-0 search printed them; the
+# closed-form vector a = e_{n+1} - e_{2n+2} must reproduce them byte for byte
+TRANSPORT_GOLDEN = {
+    ("5", "1,2,0,3,1,1"): """{
+  "word": [
+    [
+      "1",
+      "2",
+      "4",
+      "3",
+      "1",
+      "1"
+    ],
+    [
+      "0",
+      "0",
+      "1",
+      "0",
+      "0",
+      "4"
+    ]
+  ],
+  "scalar": null,
+  "dickson": 0,
+  "source": [
+    "0",
+    "0",
+    "0",
+    "0",
+    "0",
+    "1"
+  ],
+  "target": [
+    "1",
+    "2",
+    "0",
+    "3",
+    "1",
+    "1"
+  ],
+  "path": "case2",
+  "verified": true
+}
+""",
+    ("Q", "1/2,3,0,-6,1,1"): """{
+  "word": [
+    [
+      "1/2",
+      "3",
+      "-1",
+      "-6",
+      "1",
+      "1"
+    ],
+    [
+      "0",
+      "0",
+      "1",
+      "0",
+      "0",
+      "-1"
+    ]
+  ],
+  "scalar": null,
+  "dickson": 0,
+  "source": [
+    "0",
+    "0",
+    "0",
+    "0",
+    "0",
+    "1"
+  ],
+  "target": [
+    "1/2",
+    "3",
+    "0",
+    "-6",
+    "1",
+    "1"
+  ],
+  "path": "case2",
+  "verified": true
+}
+""",
+}
+
+
+@pytest.mark.parametrize("spec,point", sorted(TRANSPORT_GOLDEN))
+def test_transport_case2_golden_bytes(capsys, spec, point):
+    code, out = run(capsys, "transport", "--n", "2", "--field", spec, "--point", point)
+    assert code == 0
+    assert out == TRANSPORT_GOLDEN[(spec, point)]
+
+
+def test_transport_rational_case2_at_n3_is_fast(capsys):
+    # the trace-0 search built 11^7 candidate vectors for this point
+    start = time.perf_counter()
+    code, out = run(capsys, "transport", "--n", "3", "--field", "Q",
+                    "--point", "1,0,0,0,0,0,0,1")
+    elapsed = time.perf_counter() - start
+    record = json.loads(out)
+    assert code == 0 and record["path"] == "case2" and record["verified"]
+    assert elapsed < 5.0
 
 
 def test_transport_not_on_quadric(capsys):

@@ -76,6 +76,12 @@ def test_rational_arithmetic():
     assert (half / third).rep == Fraction(3, 2)
 
 
+def test_rational_inverse_of_int_is_exact():
+    inv = Q.raw_inv(2)
+    assert inv == Fraction(1, 2) and isinstance(inv, Fraction)
+    assert Q.raw_inv(Fraction(-3, 4)) == Fraction(-4, 3)
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         F5.element(1) / F5.element(0)

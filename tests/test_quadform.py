@@ -174,6 +174,33 @@ def test_reflection_matrix_examples():
                                       [1, 0, 0, 0], [0, 0, 0, 1]])
 
 
+@pytest.mark.parametrize("f", [F2, F3, Field.extension(3, 2), Q], ids=str)
+@pytest.mark.parametrize("shape", ["even", "odd", "pointed_even"])
+def test_reflection_matrix_columns_are_reflected_basis(f, shape):
+    # the one-pass matrix against reflect() applied to each basis vector
+    s = SplitSpace(f, shape, 2)
+    rng = random.Random(7)
+    done = 0
+    while done < 5:
+        v = s.vector([rng.randrange(-3, 4) if f.q is None else rng.randrange(f.q)
+                      for _ in range(s.dim)])
+        if not s.raw_q(v.raws):
+            continue
+        m = reflection_matrix(s, v)
+        cols = [reflect(s, v, s.basis_vector(j)) for j in range(s.dim)]
+        assert m == GroupElement.from_columns(f, cols)
+        done += 1
+
+
+def test_det_reuses_the_elimination_behind_is_invertible():
+    s = SplitSpace.even(F5, 2)
+    m = reflection_matrix(s, s.one_vector()) * reflection_matrix(s, s.vector([1, 2, 3, 4]))
+    assert m.is_invertible
+    eliminated = m.cache["elimination"]
+    assert m.det() == F5.one and m.rank() == 4
+    assert m.cache["elimination"] is eliminated
+
+
 def test_reflection_determinant_odd_characteristic():
     for f in (F3, F5):
         s = SplitSpace.even(f, 2)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from quadrics.errors import (
@@ -13,6 +15,7 @@ from quadrics.quadric import base_point, count_closed_form, enumerate_quadric
 from quadrics.action import GroupContext, in_so_odd
 from quadrics.transport import (
     TransportCertificate,
+    case2_vector,
     dickson_fixer,
     quadric_transport,
     reflection_transport,
@@ -118,6 +121,20 @@ def test_transport_over_rationals():
     assert cert.matrix.apply(x) == y
 
 
+def test_rational_sweep_is_drawn_lazily():
+    # no structured vector serves e_1 -> e_2, and the first sweep vector
+    # (-5, ..., -5) does; listing the whole sweep first would build 11^6
+    # vectors before reaching it
+    s = SplitSpace.pointed_even(Q, 2)
+    x, y = s.basis_vector(0), s.basis_vector(1)
+    start = time.perf_counter()
+    cert = reflection_transport(s, x, y)
+    elapsed = time.perf_counter() - start
+    assert cert.path == "case2" and cert.verified
+    assert cert.word[0] == s.vector([-5] * 6)
+    assert elapsed < 0.2
+
+
 # -- quadric transport ------------------------------------------------------------
 
 def test_quadric_transport_base_point():
@@ -162,9 +179,24 @@ def test_transport_every_point(q, n):
         assert cert.dickson == 0
         assert in_so_odd(c, cert.matrix)
         assert cert.matrix.apply(c.x0) == cert.target
-        assert cert.path == "bfs" or len(cert.word) <= 3
+        assert len(cert.word) == (0 if cert.path == "identity" else 2)
+        if cert.path == "case2":
+            assert cert.word[1] == case2_vector(c)
         for v in cert.word:
             assert c.space.trace(v) == c.field.zero
+
+
+@pytest.mark.parametrize("field", [F2, F3, Field.extension(2, 2), Q], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_case2_vector_meets_its_guarantees(field, n):
+    # q(a) = -1, t(a) = 0, B(x_0, a) = 1, and B(w, a) = 1 for w_{n+1} = 0
+    c = GroupContext(field, n)
+    a, s, one = case2_vector(c), c.space, field.one
+    assert s.eval_q(a) == -one and s.trace(a) == field.zero
+    assert s.eval_b(c.x0, a) == one
+    w = s.vector([1] + [0] * (2 * n) + [1])    # e_1 + x_0
+    assert s.eval_q(w) == field.zero and s.trace(w) == one
+    assert s.eval_b(w, a) == one
 
 
 def test_quadric_transport_over_rationals():
