@@ -33,6 +33,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import is_prime_power
+from .guards import BRUTE_GUARD, CLOSURE_GUARD, VECTOR_GUARD
 from .quadform import (
     GroupElement,
     SplitSpace,
@@ -40,13 +41,10 @@ from .quadform import (
     _dickson,
     dickson,
     is_isometry,
+    raw_reflect,
     reflection_matrix,
 )
 from .quadric import AmbientQuadricPoint, base_point, enumerate_quadric
-
-BRUTE_GUARD = 10 ** 9     # candidate cap q^(dim^2) for direct enumeration
-CLOSURE_GUARD = 10 ** 6   # largest group listed by closure: the SO-model or Stab(x_0)
-VECTOR_GUARD = 10 ** 8
 
 
 class GroupContext:
@@ -119,25 +117,10 @@ def act(ctx, m, point):
 # -- reflection vectors and generators -------------------------------------
 
 def structured_trace_zero(ctx):
-    """The 2n+1 vectors e_i +/- e_{n+1+i} (i <= n) and e_{n+1} - e_{2n+2};
-    each has trace 0 and q = +/-1."""
-    f, n, d = ctx.field, ctx.n, ctx.dim
-    out = []
-    for i in range(n):
-        for sign in (1, -1):
-            vals = [0] * d
-            vals[i] = 1
-            vals[n + 1 + i] = sign
-            v = Vector.of(f, vals)
-            if v not in out:
-                out.append(v)
-    vals = [0] * d
-    vals[n] = 1
-    vals[d - 1] = -1
-    v = Vector.of(f, vals)
-    if v not in out:
-        out.append(v)
-    return out
+    """The 2n+1 vectors e_i +/- e_{n+1+i} (i <= n) and e_{n+1} - e_{2n+2}:
+    the space's structured vectors of trace 0; each has q = +/-1."""
+    space = ctx.space
+    return [v for v in space.structured_vectors() if not space.raw_trace(v.raws)]
 
 
 def trace_zero_reflection_vectors(ctx, force=False):
@@ -185,63 +168,17 @@ def reflection_generators(ctx, force=False):
             for v in trace_zero_reflection_vectors(ctx, force=force)]
 
 
-# -- fast raw-matrix kernels ----------------------------------------------
-
-def _kernels(field):
-    if field.kind == "prime":
-        p = field.p
-
-        def matmul(a, b):
-            cols = tuple(zip(*b))
-            return tuple(tuple(sum(map(int.__mul__, row, col)) % p for col in cols)
-                         for row in a)
-
-        def matvec(a, v):
-            return tuple(sum(map(int.__mul__, row, v)) % p for row in a)
-    else:
-        mul_t, add_t = field._mul, field._add
-
-        def matmul(a, b):
-            cols = tuple(zip(*b))
-            out = []
-            for row in a:
-                orow = []
-                for col in cols:
-                    acc = 0
-                    for x, y in zip(row, col):
-                        if x and y:
-                            acc = add_t[acc][mul_t[x][y]]
-                    orow.append(acc)
-                out.append(tuple(orow))
-            return tuple(out)
-
-        def matvec(a, v):
-            out = []
-            for row in a:
-                acc = 0
-                for x, y in zip(row, v):
-                    if x and y:
-                        acc = add_t[acc][mul_t[x][y]]
-                out.append(acc)
-            return tuple(out)
-    return matmul, matvec
-
-
-def _mulclose(matmul, gens, seed):
-    """Left-multiplication closure of seed (containing the identity) under
-    gens; in a finite group this is the subgroup generated."""
-    els = set(seed)
-    frontier = list(els)
-    while frontier:
-        fresh = []
-        for b in frontier:
-            for a in gens:
-                c = matmul(a, b)
-                if c not in els:
-                    els.add(c)
-                    fresh.append(c)
-        frontier = fresh
-    return els
+def _closure(seed, images):
+    """Everything reachable from seed, where images(x) yields the images of
+    x, in BFS discovery order."""
+    found = list(dict.fromkeys(seed))
+    seen = set(found)
+    for x in found:   # grows while it is walked: the BFS queue
+        for y in images(x):
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return found
 
 
 # -- group enumeration ------------------------------------------------------
@@ -330,7 +267,7 @@ def so_model_closure(ctx, force=False):
     expected = group_order("odd", ctx.n, f.q)
     if not force and expected > CLOSURE_GUARD:
         raise TooLarge(f"group order {expected} exceeds the closure guard")
-    matmul, _ = _kernels(f)
+    matmul = f.matmul
     vectors = trace_zero_reflection_vectors(ctx, force=force)
     refls = [reflection_matrix(ctx.space, v).rows for v in vectors]
     anchor = refls[0]
@@ -343,7 +280,8 @@ def so_model_closure(ctx, force=False):
         if g in els:
             continue
         gens.append(g)
-        els = _mulclose(matmul, gens, els)
+        # left-multiplication closure: in a finite group, the subgroup generated
+        els = set(_closure(els, lambda b: (matmul(a, b) for a in gens)))
         if len(els) >= expected:
             break
     if len(els) != expected:
@@ -388,7 +326,7 @@ def stabilizer(ctx, point, members=None, force=False):
     if members is None:
         members = enumerate_group(ctx, "so_odd", force=force)
     raws = point.w.raws if isinstance(point, AmbientQuadricPoint) else point.raws
-    _, matvec = _kernels(ctx.field)
+    matvec = ctx.field.matvec
     return [m for m in members if matvec(m.rows, raws) == raws]
 
 
@@ -399,40 +337,16 @@ def orbit(ctx, start=None, force=False):
     space = ctx.space
     if start is None:
         start = base_point(space)
-    vectors = trace_zero_reflection_vectors(ctx, force=force)
-    gens = []
-    for v in vectors:
-        inv_q = f.raw_inv(space.raw_q(v.raws))
-        gens.append((v.raws, inv_q))
-    anchor = gens[0]
+    gens = [(v.raws, f.raw_inv(space.raw_q(v.raws)))
+            for v in trace_zero_reflection_vectors(ctx, force=force)]
+    a, inv_a = gens[0]
 
-    def apply_pair(second, w):
-        return _raw_reflect(space, anchor, _raw_reflect(space, second, w))
+    def images(w):
+        for v, inv_q in gens:
+            yield raw_reflect(space, a, inv_a, raw_reflect(space, v, inv_q, w))
 
-    seen = {start.w.raws}
-    ordered = [start.w.raws]
-    frontier = [start.w.raws]
-    while frontier:
-        fresh = []
-        for w in frontier:
-            for g in gens:
-                image = apply_pair(g, w)
-                if image not in seen:
-                    seen.add(image)
-                    ordered.append(image)
-                    fresh.append(image)
-        frontier = fresh
-    return [AmbientQuadricPoint(space, Vector(f, w)) for w in ordered]
-
-
-def _raw_reflect(space, gen, w):
-    v, inv_q = gen
-    f = space.field
-    c = f.raw_mul(space.raw_b(v, w), inv_q)
-    if not c:
-        return tuple(w)
-    sub, mul = f.raw_sub, f.raw_mul
-    return tuple(sub(wi, mul(c, vi)) for wi, vi in zip(w, v))
+    return [AmbientQuadricPoint(space, Vector(f, w))
+            for w in _closure([start.w.raws], images)]
 
 
 # -- orbit-stabilizer without listing the group -------------------------------
@@ -448,7 +362,7 @@ class OrbitStabilizer:
     """
 
     def __init__(self, field, dim, point):
-        self._matmul, self._matvec = _kernels(field)
+        self._matmul, self._matvec = field.matmul, field.matvec
         self._identity = GroupElement.identity(field, dim).rows
         self.point = point
         self.tree = {point: (self._identity, self._identity)}
@@ -641,24 +555,17 @@ def verify_similitude_orbit(field, n, force=False):
         if key not in seen_dirs:
             seen_dirs.add(key)
             refl_gens.append((key, f.raw_inv(space.raw_q(key))))
-    scalars = [c for c in range(2, f.q)] if f.q > 2 else []
-    anchor = refl_gens[0]
-
-    start = space.one_vector().raws
-    seen = {start}
-    frontier = [start]
+    scalars = range(2, f.q)
+    a, inv_a = refl_gens[0]
     mul = f.raw_mul
-    while frontier:
-        fresh = []
-        for w in frontier:
-            images = [tuple(mul(c, x) for x in w) for c in scalars]
-            images += [_raw_reflect(space, anchor, _raw_reflect(space, g, w))
-                       for g in refl_gens]
-            for image in images:
-                if image not in seen:
-                    seen.add(image)
-                    fresh.append(image)
-        frontier = fresh
+
+    def images(w):
+        for c in scalars:
+            yield tuple(mul(c, x) for x in w)
+        for v, inv_q in refl_gens:
+            yield raw_reflect(space, a, inv_a, raw_reflect(space, v, inv_q, w))
+
+    seen = set(_closure([space.one_vector().raws], images))
 
     if f.characteristic == 2:
         expected = set(nonzero_norm)

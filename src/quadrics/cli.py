@@ -7,9 +7,7 @@ or configuration error.
 import argparse
 import functools
 import json
-import os
 import sys
-from multiprocessing import Pool
 
 from .action import GroupContext, verify_homogeneous, verify_similitude_orbit
 from .errors import NotOnQuadric, QuadricsError, TooLarge
@@ -39,8 +37,7 @@ def main(argv=None):
 @functools.cache
 def _parser():
     """The argument parser, built on the first main() call and then reused:
-    parsing leaves it unchanged, and defaults that depend on the environment
-    are resolved when a command runs."""
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quadrics",
         description="Split quadric point counts, group actions, and reflection transport.",
@@ -55,9 +52,6 @@ def _parser():
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--force", action="store_true", help="override size guards")
-        p.add_argument("--jobs", type=_positive_int,
-                       help="worker processes for point batches (at least 1; "
-                            "default from QK_JOBS, else 1)")
 
     p_count = sub.add_parser("count", help="point counts: closed form, recursion, enumeration")
     common(p_count, symbolic_q=True)
@@ -71,23 +65,6 @@ def _parser():
     p_tr.add_argument("--point", help="comma-separated target coordinates")
     p_tr.add_argument("--all", action="store_true", help="transport every point")
     return parser
-
-
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
-
-
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get("QK_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _field_of(args, required=True):
@@ -144,17 +121,13 @@ def _cmd_transport(args):
         raise ValueError("--n must be at least 1")
     ctx = GroupContext(field, args.n)
     if args.all:
-        jobs = args.jobs if args.jobs is not None else _default_jobs()
-        if jobs > 1 and field.is_finite:
-            record = _transport_all_parallel(ctx, jobs, args.force)
-        else:
-            certs, stats = transport_all(ctx, force=args.force)
-            record = {
-                "check": "transport_all", "n": args.n, "field": str(field),
-                "total": len(certs), "verified": sum(c.verified for c in certs),
-                "paths": stats,
-                "certificates": [c.to_dict() for c in certs],
-            }
+        certs, stats = transport_all(ctx, force=args.force)
+        record = {
+            "check": "transport_all", "n": args.n, "field": str(field),
+            "total": len(certs), "verified": sum(c.verified for c in certs),
+            "paths": stats,
+            "certificates": [c.to_dict() for c in certs],
+        }
         failed = record["verified"] != record["total"]
         record["pass"] = not failed
         return record, failed
@@ -164,31 +137,6 @@ def _cmd_transport(args):
     target = Vector(field, (c.rep for c in coords))
     cert = quadric_transport(ctx, target)
     return cert.to_dict(), False
-
-
-def _transport_worker(payload):
-    n, field_spec, point_strings = payload
-    field = Field.parse(field_spec)
-    ctx = GroupContext(field, n)
-    coords = [field.parse_element(s) for s in point_strings]
-    cert = quadric_transport(ctx, Vector(field, (c.rep for c in coords)))
-    return cert.to_dict()
-
-
-def _transport_all_parallel(ctx, jobs, force):
-    from .quadric import enumerate_quadric
-    points = enumerate_quadric(ctx.space, force=force)
-    payloads = [(ctx.n, str(ctx.field), p.w.to_strings()) for p in points]
-    with Pool(jobs) as pool:
-        dicts = pool.map(_transport_worker, payloads)
-    stats = {"identity": 0, "case1": 0, "case2": 0}
-    for d in dicts:
-        stats[d["path"]] += 1
-    return {
-        "check": "transport_all", "n": ctx.n, "field": str(ctx.field),
-        "total": len(dicts), "verified": sum(d["verified"] for d in dicts),
-        "paths": stats, "certificates": dicts,
-    }
 
 
 # -- output -------------------------------------------------------------------

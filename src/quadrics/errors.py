@@ -31,6 +31,10 @@ class InfiniteField(QuadricsError):
     pass
 
 
+class InvalidElement(QuadricsError):
+    pass
+
+
 # -- quadratic spaces, vectors and matrices -----------------------------
 
 class DimensionMismatch(QuadricsError):

@@ -4,15 +4,21 @@ Finite field elements are carried as packed integer indices: the residue
 for a prime field, sum(c_i * p**i) for the coefficient vector (c_0, ..,
 c_{k-1}) of an extension.  Packing keeps vectors and matrices hashable and
 cheap to compare; rationals are carried as Fraction.  All representations
-are canonical, so equality is representation equality.
+are canonical, so equality is representation equality.  Each Field binds the
+raw operations and matrix kernels on these representations for its kind when
+it is built; other modules compute only through them.
 """
 
+import re
 from fractions import Fraction
+from functools import partial
+from operator import add, mul, neg, sub
 
 from .errors import (
     DivisionByZero,
     FieldMismatch,
     InfiniteField,
+    InvalidElement,
     NoModulusAvailable,
     NonPrimeCharacteristic,
     UnsupportedSize,
@@ -31,6 +37,9 @@ MODULI = {
     (3, 3): (1, 2, 0, 1),     # t^3 + 2t + 1
     (5, 2): (2, 0, 1),        # t^2 + 2
 }
+
+# One term of an extension element: c*g^k, c*g, g^k, g, or an integer c.
+_TERM = re.compile(r"(?:(\d+)\*)?g(?:\^(\d+))?|(\d+)")
 
 
 def is_prime(n):
@@ -100,6 +109,7 @@ class Field:
     __slots__ = (
         "kind", "p", "k", "q", "modulus", "key",
         "_add", "_mul", "_inv", "_neg", "_sqrt", "_hash",
+        "raw_add", "raw_sub", "raw_neg", "raw_mul", "raw_inv", "matmul", "matvec",
     )
 
     def __init__(self, kind, p=0, k=1):
@@ -131,6 +141,7 @@ class Field:
                 self._build_tables()
         self.key = (kind, p, k)
         self._hash = hash(self.key)
+        self._bind_kernels()
 
     # -- construction -----------------------------------------------------
 
@@ -218,6 +229,67 @@ class Field:
 
     # -- raw arithmetic on packed representations --------------------------
 
+    def _bind_kernels(self):
+        """Bind the raw operations and the matrix kernels of this field's
+        kind, once: prime fields reduce mod p, extensions read the tables,
+        and Q computes with Fraction, so no call branches on the kind.
+        matmul takes two row tuples and matvec a row tuple and a vector."""
+        if self.kind == "extension":
+            add_t, mul_t, neg_t, inv_t = self._add, self._mul, self._neg, self._inv
+
+            def dot(row, col):
+                acc = 0
+                for x, y in zip(row, col):
+                    if x and y:
+                        acc = add_t[acc][mul_t[x][y]]
+                return acc
+
+            def matmul(a, b):
+                cols = tuple(zip(*b))
+                return tuple(tuple(dot(row, col) for col in cols) for row in a)
+
+            def matvec(a, v):
+                return tuple(dot(row, v) for row in a)
+
+            self.raw_add = lambda a, b: add_t[a][b]
+            self.raw_sub = lambda a, b: add_t[a][neg_t[b]]
+            self.raw_neg = neg_t.__getitem__
+            self.raw_mul = lambda a, b: mul_t[a][b]
+            inv = inv_t.__getitem__
+        elif self.kind == "prime":
+            p = self.p
+
+            def matmul(a, b):
+                cols = tuple(zip(*b))
+                return tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
+                             for row in a)
+
+            def matvec(a, v):
+                return tuple(sum(map(mul, row, v)) % p for row in a)
+
+            self.raw_add = lambda a, b: (a + b) % p
+            self.raw_sub = lambda a, b: (a - b) % p
+            self.raw_neg = lambda a: -a % p
+            self.raw_mul = lambda a, b: a * b % p
+            inv = lambda a: pow(a, -1, p)
+        else:
+            def matmul(a, b):
+                cols = tuple(zip(*b))
+                return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+            def matvec(a, v):
+                return tuple(sum(map(mul, row, v)) for row in a)
+
+            self.raw_add, self.raw_sub, self.raw_neg, self.raw_mul = add, sub, neg, mul
+            inv = partial(Fraction, 1)   # 1 / a would be a float for an int a
+
+        def raw_inv(a):
+            if not a:
+                raise DivisionByZero("inverse of zero")
+            return inv(a)
+
+        self.raw_inv, self.matmul, self.matvec = raw_inv, matmul, matvec
+
     @property
     def is_finite(self):
         return self.kind != "rational"
@@ -226,51 +298,14 @@ class Field:
     def characteristic(self):
         return self.p if self.is_finite else 0
 
-    def raw_add(self, a, b):
-        if self.kind == "prime":
-            return (a + b) % self.p
-        if self.kind == "extension":
-            return self._add[a][b]
-        return a + b
-
-    def raw_sub(self, a, b):
-        if self.kind == "prime":
-            return (a - b) % self.p
-        if self.kind == "extension":
-            return self._add[a][self._neg[b]]
-        return a - b
-
-    def raw_neg(self, a):
-        if self.kind == "prime":
-            return (-a) % self.p
-        if self.kind == "extension":
-            return self._neg[a]
-        return -a
-
-    def raw_mul(self, a, b):
-        if self.kind == "prime":
-            return (a * b) % self.p
-        if self.kind == "extension":
-            return self._mul[a][b]
-        return a * b
-
-    def raw_inv(self, a):
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        if self.kind == "prime":
-            return pow(a, -1, self.p)
-        if self.kind == "extension":
-            return self._inv[a]
-        return Fraction(1, a)   # 1 / a would be a float for an int a
-
     def raw_div(self, a, b):
         return self.raw_mul(a, self.raw_inv(b))
 
     def raw_sqrt(self, a):
         """A square root of a, or None; the enumeration-first root is returned."""
-        if not self.is_finite:
-            raise InfiniteField("square roots are only searched in finite fields")
         if self._sqrt is None:
+            if not self.is_finite:
+                raise InfiniteField("square roots are only searched in finite fields")
             table = {}
             for s in range(self.q):
                 sq = self.raw_mul(s, s)
@@ -326,24 +361,34 @@ class Field:
         return [FieldElement(self, r) for r in range(self.q)]
 
     def parse_element(self, text):
-        """Inverse of str(element)."""
+        """Inverse of str(element).  An extension element is read as a sum of
+        terms c, g, g^k, c*g and c*g^k, each optionally signed and taken in
+        the field, so a power of g may exceed the degree."""
         text = text.strip()
-        if self.kind == "rational":
-            return FieldElement(self, Fraction(text))
-        if self.kind == "prime":
-            return FieldElement(self, int(text) % self.p)
-        coeffs = [0] * self.k
-        for term in text.split("+"):
-            term = term.strip()
-            if "*" in term:
-                c_str, g_str = term.split("*", 1)
-                power = 1 if g_str.strip() == "g" else int(g_str.strip().split("^", 1)[1])
-                coeffs[power] = int(c_str) % self.p
-            elif term == "g":
-                coeffs[1] = 1
+        if self.kind != "extension":
+            try:
+                return self.element(Fraction(text) if self.kind == "rational" else int(text))
+            except (ValueError, ZeroDivisionError):
+                raise InvalidElement(
+                    f"cannot read {text!r} as an element of field {self}") from None
+        signed = re.split(r"([+-])", text)
+        if signed[0].strip() or len(signed) == 1:
+            signed.insert(0, "+")
+        else:
+            del signed[0]   # a leading sign
+        value = self.zero
+        for sign, term in zip(signed[::2], signed[1::2]):
+            match = _TERM.fullmatch(term.strip())
+            if match is None:
+                raise InvalidElement(
+                    f"cannot read {term.strip()!r} in {text!r} as an element of field {self}")
+            coeff, power, const = match.groups()
+            if const is not None:
+                x = self.element(int(const))
             else:
-                coeffs[0] = int(term) % self.p
-        return self.from_coeffs(coeffs)
+                x = self.generator ** int(power or 1) * int(coeff or 1)
+            value = value - x if sign == "-" else value + x
+        return value
 
     # -- protocol ----------------------------------------------------------
 

@@ -10,6 +10,8 @@ The pointed even space carries the distinguished vector 1 = e_{n+1} + e_{2n+2}
 with q(1) = 1 and the trace form t(x) = B(x, 1) = x_{n+1} + x_{2n+2}.
 """
 
+from functools import cache
+
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -98,10 +100,20 @@ class Vector:
         return f"Vector({', '.join(self.to_strings())})"
 
 
+@cache
+def _pairs(shape, n):
+    """The index pairs (i, j) with q(x) = sum x_i x_j; the odd shape's square
+    term x_{2n+1}^2 is the pair (2n, 2n).  Shared by every space of one shape
+    and rank: quadric enumeration builds a space for each point it holds."""
+    h = n + 1 if shape == "pointed_even" else n
+    pairs = tuple((i, h + i) for i in range(h))
+    return pairs + ((2 * n, 2 * n),) if shape == "odd" else pairs
+
+
 class SplitSpace:
     """A split quadratic space of one of the three shapes above."""
 
-    __slots__ = ("field", "shape", "n", "dim", "_basis_values")
+    __slots__ = ("field", "shape", "n", "dim", "pairs", "_basis_values")
 
     def __init__(self, field, shape, n):
         if shape not in SHAPES:
@@ -112,6 +124,7 @@ class SplitSpace:
         self.shape = shape
         self.n = n
         self.dim = {"even": 2 * n, "odd": 2 * n + 1, "pointed_even": 2 * n + 2}[shape]
+        self.pairs = _pairs(shape, n)
         self._basis_values = None
 
     @classmethod
@@ -157,6 +170,20 @@ class SplitSpace:
             vals[2 * n + 1] = 1
         return Vector.of(self.field, vals)
 
+    def structured_vectors(self):
+        """e_i +/- e_j for each hyperbolic pair (i, j), without repeats, then
+        e_{2n+1} on the odd shape; each has q = +/-1."""
+        out = []
+        for i, j in self.pairs:
+            for sign in (1, -1) if i != j else (1,):
+                vals = [0] * self.dim
+                vals[i] = 1
+                vals[j] = sign
+                v = Vector.of(self.field, vals)
+                if v not in out:
+                    out.append(v)
+        return out
+
     def enumerate_vectors(self):
         """All vectors in lexicographic order (first coordinate slowest)."""
         from .errors import InfiniteField
@@ -177,34 +204,17 @@ class SplitSpace:
     def raw_q(self, raws):
         f = self.field
         mul, add = f.raw_mul, f.raw_add
-        n = self.n
-        if self.shape == "even":
-            pairs = ((i, n + i) for i in range(n))
-        elif self.shape == "odd":
-            pairs = ((i, n + i) for i in range(n))
-        else:
-            pairs = ((i, n + 1 + i) for i in range(n + 1))
         total = 0
-        for i, j in pairs:
+        for i, j in self.pairs:
             total = add(total, mul(raws[i], raws[j]))
-        if self.shape == "odd":
-            total = add(total, mul(raws[2 * n], raws[2 * n]))
         return total
 
     def raw_b(self, u, w):
         f = self.field
         mul, add = f.raw_mul, f.raw_add
-        n = self.n
-        if self.shape == "pointed_even":
-            pairs = [(i, n + 1 + i) for i in range(n + 1)]
-        else:
-            pairs = [(i, n + i) for i in range(n)]
         total = 0
-        for i, j in pairs:
+        for i, j in self.pairs:
             total = add(total, add(mul(u[i], w[j]), mul(u[j], w[i])))
-        if self.shape == "odd":
-            two_uw = mul(u[2 * n], w[2 * n])
-            total = add(total, add(two_uw, two_uw))
         return total
 
     def raw_polar(self, raws):
@@ -302,19 +312,7 @@ class GroupElement:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         if other.dim != self.dim:
             raise DimensionMismatch(f"{self.dim} vs {other.dim}")
-        f = self.field
-        mul, add = f.raw_mul, f.raw_add
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = 0
-                for a, b in zip(row, col):
-                    acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return GroupElement(f, out)
+        return GroupElement(self.field, self.field.matmul(self.rows, other.rows))
 
     def apply(self, v):
         if not isinstance(v, Vector):
@@ -323,15 +321,7 @@ class GroupElement:
             raise FieldMismatch(f"{self.field} vs {v.field}")
         if len(v.raws) != self.dim:
             raise DimensionMismatch(f"{self.dim} vs {len(v.raws)}")
-        f = self.field
-        mul, add = f.raw_mul, f.raw_add
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, v.raws):
-                acc = add(acc, mul(a, b))
-            out.append(acc)
-        return Vector(f, out)
+        return Vector(self.field, self.field.matvec(self.rows, v.raws))
 
     def _elimination(self):
         """Row-reduce [M | I] once; return (rank, det_raw, inverse rows or
@@ -410,13 +400,20 @@ def reflect(space, v, w):
     """r_v(w) = w - B(v, w) v / q(v); requires q(v) invertible."""
     space._check_dim(v)
     space._check_dim(w)
-    f = space.field
     qv = space.raw_q(v.raws)
     if not qv:
         raise NonUnitNorm("reflection vector has q = 0")
-    c = f.raw_div(space.raw_b(v.raws, w.raws), qv)
+    return Vector(space.field, raw_reflect(space, v.raws, space.field.raw_inv(qv), w.raws))
+
+
+def raw_reflect(space, v, inv_q, w):
+    """r_v(w) on raw tuples, given inv_q = 1/q(v); nothing is checked."""
+    f = space.field
+    c = f.raw_mul(space.raw_b(v, w), inv_q)
+    if not c:
+        return tuple(w)
     sub, mul = f.raw_sub, f.raw_mul
-    return Vector(f, (sub(wi, mul(c, vi)) for wi, vi in zip(w.raws, v.raws)))
+    return tuple(sub(wi, mul(c, vi)) for wi, vi in zip(w, v))
 
 
 def reflection_matrix(space, v):

@@ -17,9 +17,8 @@ from .errors import (
     TooLarge,
 )
 from .fields import FieldElement, is_prime_power
+from .guards import ENUM_GUARD
 from .quadform import SplitSpace, Vector
-
-ENUM_GUARD = 10 ** 8
 
 
 class IntrinsicQuadricPoint:

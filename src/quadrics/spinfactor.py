@@ -14,10 +14,9 @@ identity at t(x) = 1 reads x - q(x) 1 = x, forcing q(x) = 0.
 from itertools import product
 
 from .errors import TooLarge
+from .guards import ENUM_GUARD
 from .quadform import SplitSpace, Vector
 from .quadric import is_on_quadric
-
-ENUM_GUARD = 10 ** 8
 
 
 class SpinFactor:

@@ -124,28 +124,6 @@ class TransportCertificate:
 
 # -- candidate streams -------------------------------------------------------
 
-def _structured_candidates(space):
-    """Hyperbolic combinations e_i +/- e_j with the paired index, which have
-    q = +/-1 whenever (i, j) is a hyperbolic pair."""
-    n, d = space.n, space.dim
-    if space.shape == "pointed_even":
-        pairs = [(i, n + 1 + i) for i in range(n + 1)]
-    else:
-        pairs = [(i, n + i) for i in range(n)]
-    out = []
-    for i, j in pairs:
-        for sign in (1, -1):
-            vals = [0] * d
-            vals[i] = 1
-            vals[j] = sign
-            v = Vector.of(space.field, vals)
-            if v not in out:
-                out.append(v)
-    if space.shape == "odd":
-        out.append(space.basis_vector(d - 1))
-    return out
-
-
 def _full_sweep(space, height):
     """All vectors of the space: lexicographic over a finite field, integer
     coordinates of height <= height over the rationals."""
@@ -178,7 +156,7 @@ def reflection_transport(space, x, y, candidates=None, height=DEFAULT_HEIGHT):
     if space.raw_q(diff.raws):
         return TransportCertificate(space, [diff], None, x, y, "case1")
     if candidates is None:
-        candidates = chain(_structured_candidates(space), _full_sweep(space, height))
+        candidates = chain(space.structured_vectors(), _full_sweep(space, height))
     for w in candidates:
         if not space.raw_q(w.raws):
             continue

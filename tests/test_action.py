@@ -18,6 +18,7 @@ from quadrics.action import (
     so_model_closure,
     so_orbit_stabilizer,
     stabilizer,
+    structured_trace_zero,
     verify_homogeneous,
     verify_similitude_orbit,
 )
@@ -142,6 +143,16 @@ def test_dickson_unrestricted_stabilizer_is_extended_even_o_group():
 
 
 # -- generators -----------------------------------------------------------------
+
+@pytest.mark.parametrize("field,expected", [
+    (F3, [[1, 0, 1, 0], [1, 0, 2, 0], [0, 1, 0, 2]]),
+    (F2, [[1, 0, 1, 0], [0, 1, 0, 1]]),
+])
+def test_structured_trace_zero(field, expected):
+    # e_1 +/- e_3, then e_2 - e_4; the signs coincide in characteristic 2
+    c = GroupContext(field, 1)
+    assert structured_trace_zero(c) == [c.space.vector(vals) for vals in expected]
+
 
 def test_reflection_generators_f2():
     c = ctx2()

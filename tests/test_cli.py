@@ -98,38 +98,18 @@ def test_transport_all(capsys):
     assert sum(record["paths"].values()) == 6
 
 
-def test_qk_jobs_is_read_at_call_time(capsys, monkeypatch):
-    import quadrics.cli as cli
-    monkeypatch.delenv("QK_JOBS", raising=False)
-    code, serial = run(capsys, "transport", "--n", "1", "--field", "2", "--all")
-    assert code == 0
-    pools = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            pools.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(cli, "Pool", SerialPool)
-    monkeypatch.setenv("QK_JOBS", "3")
-    code, pooled = run(capsys, "transport", "--n", "1", "--field", "2", "--all")
-    assert code == 0 and pools == [3]
-    assert pooled == serial
-
-
 def test_transport_height_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transport", "--n", "1", "--field", "Q", "--point", "0,0,0,1",
               "--height", "3"])
     assert exc.value.code == 2
+
+
+def test_jobs_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transport", "--n", "1", "--field", "2", "--all", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 # case-2 reports (w_{n+1} = 0) as the trace-0 search printed them; the
@@ -243,12 +223,35 @@ def test_transport_not_on_quadric(capsys):
     assert code == 1
 
 
-def test_transport_parallel_matches_serial(capsys):
-    code1, out1 = run(capsys, "transport", "--n", "1", "--field", "2", "--all")
-    code2, out2 = run(capsys, "transport", "--n", "1", "--field", "2", "--all",
-                      "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize("spec,point,token", [
+    ("Q", "1/0,0,0,1", "'1/0'"),
+    ("Q", "x,0,0,1", "'x'"),
+    ("Q", ",0,0,1", "''"),
+    ("3", "1/2,0,0,1", "'1/2'"),
+    ("3", "g,0,0,1", "'g'"),
+    ("2^2", "2*h,0,0,1", "'2*h'"),
+    ("2^2", "1+-g,0,0,1", "''"),
+    ("2^2", "g^,0,0,1", "'g^'"),
+    ("2^2", "3g,0,0,1", "'3g'"),
+])
+def test_bad_point_coordinate_names_the_token(capsys, spec, point, token):
+    code = main(["transport", "--n", "1", "--field", spec, "--point", point])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot read ") and token in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("point,same_as", [
+    ("1*g^5,0,0,1", "1+1*g,0,0,1"),   # g^5 = g^2 = g + 1 in GF(4)
+    ("g^2,0,0,1", "1+1*g,0,0,1"),
+    ("-g+1,0,0,1", "1+1*g,0,0,1"),    # -1 = 1 in characteristic 2
+    ("g,0,0,1", "0+1*g,0,0,1"),
+])
+def test_extension_point_accepts_powers_and_signs(capsys, point, same_as):
+    code, out = run(capsys, "transport", "--n", "1", "--field", "2^2", "--point=" + point)
+    assert code == 0
+    assert out == run(capsys, "transport", "--n", "1", "--field", "2^2", "--point=" + same_as)[1]
 
 
 def test_determinism(capsys):
@@ -302,14 +305,6 @@ def test_extension_field_spec(capsys):
     # 6 is not a prime power, so no field has that order
     assert main(["count", "--n", "1", "--field", "6"]) == 2
     assert "6 is not a prime power" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
-def test_jobs_must_be_positive(capsys, jobs):
-    with pytest.raises(SystemExit) as exc:
-        main(["transport", "--n", "1", "--field", "2", "--all", "--jobs", jobs])
-    assert exc.value.code == 2
-    assert "argument --jobs" in capsys.readouterr().err
 
 
 def test_homogeneous_guards_fire_before_work(capsys):
@@ -395,3 +390,49 @@ def test_verify_homogeneous_golden_bytes(capsys, n, spec):
     code, out = run(capsys, "verify", "homogeneous", "--n", n, "--field", spec)
     assert code == 0
     assert out == HOMOGENEOUS_GOLDEN[(n, spec)]
+
+
+# census reports as printed before the field kernels were bound per kind and
+# the orbit BFS loops were merged; both run under all three commands
+CENSUS_GOLDEN = {
+    ("count", "--n", "2", "--field", "3^2"): """{
+  "n": 2,
+  "field": "3^2",
+  "closed_form": 6642,
+  "recursive": 6642,
+  "count": 6642,
+  "strata": {
+    "open": 5832,
+    "closed": 810
+  },
+  "match": true
+}
+""",
+    ("verify", "spin", "--n", "1", "--field", "2^2"): """{
+  "check": "spin_projective",
+  "n": 1,
+  "field": "2^2",
+  "idempotents": 20,
+  "quadric_points": 20,
+  "equal": true,
+  "pass": true
+}
+""",
+    ("verify", "similitude", "--n", "1", "--field", "5"): """{
+  "check": "similitude",
+  "n": 1,
+  "field": "5",
+  "orbit_size": 240,
+  "nonzero_norm_vectors": 480,
+  "expected_orbit_size": 240,
+  "pass": true
+}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CENSUS_GOLDEN))
+def test_census_golden_bytes(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == CENSUS_GOLDEN[argv]

@@ -109,6 +109,19 @@ def test_one_vectors():
         assert s.eval_q(s.one_vector()) == F5.one
 
 
+@pytest.mark.parametrize("f,shape,n,expected", [
+    (F3, "pointed_even", 1, [[1, 0, 1, 0], [1, 0, 2, 0], [0, 1, 0, 1], [0, 1, 0, 2]]),
+    (F2, "pointed_even", 1, [[1, 0, 1, 0], [0, 1, 0, 1]]),
+    (F3, "odd", 1, [[1, 1, 0], [1, 2, 0], [0, 0, 1]]),
+    (Q, "even", 2, [[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 1], [0, 1, 0, -1]]),
+])
+def test_structured_vectors(f, shape, n, expected):
+    s = SplitSpace(f, shape, n)
+    vectors = s.structured_vectors()
+    assert vectors == [Vector.of(f, vals) for vals in expected]
+    assert all(s.raw_q(v.raws) in (f.one.rep, f.element(-1).rep) for v in vectors)
+
+
 # -- reflections --------------------------------------------------------------
 
 def test_reflect_examples():
