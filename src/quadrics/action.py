@@ -44,7 +44,7 @@ from .quadform import (
     raw_reflect,
     reflection_matrix,
 )
-from .quadric import AmbientQuadricPoint, base_point, enumerate_quadric
+from .quadric import AmbientQuadricPoint, _quadric_raws, base_point
 
 
 class GroupContext:
@@ -494,7 +494,7 @@ def verify_homogeneous(field, n, force=False):
     ctx = GroupContext(field, n)
     _isometry_guard(ctx.even_space, force)
     found, gens = so_orbit_stabilizer(ctx, force=force)
-    points = enumerate_quadric(ctx.space, force=force)
+    points = list(_quadric_raws(ctx.space, force=force))
     even_so = enumerate_isometries(ctx.even_space, dickson_value=0, force=force)
     extended = {ctx.extend_even(m).rows for m in even_so}
 
@@ -503,7 +503,7 @@ def verify_homogeneous(field, n, force=False):
     orb, stab = set(found.tree), found.stabilizer
     group_size = len(orb) * len(stab)
     checks = {
-        "orbit_covers_quadric": orb == {p.w.raws for p in points},
+        "orbit_covers_quadric": orb == set(points),
         "stabilizer_order": len(stab) == even_order,
         "orbit_stabilizer_product": (all(in_so_odd(ctx, g) for g in gens)
                                      and group_size == odd_order),
@@ -511,8 +511,8 @@ def verify_homogeneous(field, n, force=False):
     }
     witnesses = []
     if not checks["orbit_covers_quadric"]:
-        missing = [p for p in points if p.w.raws not in orb]
-        witnesses = [p.w.to_strings() for p in missing[:3]]
+        missing = [w for w in points if w not in orb]
+        witnesses = [Vector(field, w).to_strings() for w in missing[:3]]
     report = {
         "check": "homogeneous",
         "n": n,
@@ -534,7 +534,9 @@ def verify_similitude_orbit(field, n, force=False):
     """Orbit of the vector 1 under the group generated by scalar matrices and
     reflection pairs, inside {q != 0}.  In characteristic 2 the orbit is all
     of {q != 0}; in odd characteristic it is exactly the vectors whose norm
-    is a nonzero square."""
+    is a nonzero square.  The orbit is grown from the scalars, then from one
+    reflection pair at a time in sweep order, until it reaches the expected
+    size or the pairs run out."""
     space = SplitSpace.pointed_even(field, n)
     f = space.field
     d = space.dim
@@ -544,34 +546,48 @@ def verify_similitude_orbit(field, n, force=False):
         raise TooLarge(f"{f.q}^{d} vectors exceeds the sweep guard")
 
     nonzero_norm = []
-    refl_gens = []
-    seen_dirs = set()
+    directions = {}   # normalized direction -> 1/q, in sweep order
     for raws in product(range(f.q), repeat=d):
         qa = space.raw_q(raws)
         if not qa:
             continue
         nonzero_norm.append(raws)
         key = _normalize_raws(f, raws)
-        if key not in seen_dirs:
-            seen_dirs.add(key)
-            refl_gens.append((key, f.raw_inv(space.raw_q(key))))
-    scalars = range(2, f.q)
-    a, inv_a = refl_gens[0]
-    mul = f.raw_mul
-
-    def images(w):
-        for c in scalars:
-            yield tuple(mul(c, x) for x in w)
-        for v, inv_q in refl_gens:
-            yield raw_reflect(space, a, inv_a, raw_reflect(space, v, inv_q, w))
-
-    seen = set(_closure([space.one_vector().raws], images))
-
+        if key not in directions:
+            directions[key] = f.raw_inv(space.raw_q(key))
     if f.characteristic == 2:
         expected = set(nonzero_norm)
     else:
         squares = {f.raw_mul(c, c) for c in range(1, f.q)}
         expected = {raws for raws in nonzero_norm if space.raw_q(raws) in squares}
+
+    seen = {space.one_vector().raws}
+    maps = []
+
+    def add(g):
+        """Close seen under one more map: g on the points already there,
+        every map on the points that turn up."""
+        maps.append(g)
+        work = [(w, (g,)) for w in seen]
+        for w, gs in work:   # grows while it is walked: the BFS queue
+            for h in gs:
+                y = h(w)
+                if y not in seen:
+                    seen.add(y)
+                    work.append((y, maps))
+
+    mul = f.raw_mul
+    for c in range(2, f.q):
+        add(lambda w, c=c: tuple(mul(c, x) for x in w))
+    # Directions join one pair r_a r_v at a time.  The orbit never leaves
+    # the expected set, so reaching its size means equality; if the
+    # directions run out first, seen is the orbit of the whole group.
+    (a, inv_a), *rest = directions.items()   # r_a r_a is the identity
+    for v, inv_q in rest:
+        if len(seen) >= len(expected):
+            break
+        add(lambda w, v=v, inv_q=inv_q:
+            raw_reflect(space, a, inv_a, raw_reflect(space, v, inv_q, w)))
     report = {
         "check": "similitude",
         "n": n,

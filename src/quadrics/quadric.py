@@ -136,36 +136,59 @@ def base_point(space):
 
 
 def enumerate_quadric(space, force=False):
-    """All points over a finite field, in deterministic order.
+    """All points over a finite field, in deterministic order, as points on
+    the given space."""
+    f = space.field
+    return [AmbientQuadricPoint(space, Vector(f, w))
+            for w in _quadric_raws(space, force=force)]
+
+
+def _quadric_raws(space, force=False):
+    """The ambient raw tuples of all points over a finite field, lazily, in
+    enumerate_quadric's order; each is checked for q(w) = 0 and t(w) = 1.
 
     Enumerates the intrinsic model: for each (x, z) in lexicographic order
     the solutions y of sum(x_i y_i) = z(1-z) form an affine subspace that is
     swept directly, so the cost is proportional to q^(2n) rather than
-    q^(2n+2).
+    q^(2n+2).  The field, shape and size are checked here, before the first
+    point is drawn.
     """
     f = space.field
     if not f.is_finite:
         raise InfiniteField("cannot enumerate points over the rationals")
+    if space.shape != "pointed_even":
+        raise InvariantViolation("ambient points live in the pointed even space")
     n = space.n
     if not force and f.q ** (2 * n + 1) > ENUM_GUARD:
         raise TooLarge(f"{f.q}^{2 * n + 1} points exceeds the enumeration guard")
-    points = []
+    return _sweep_quadric(space)
+
+
+def _sweep_quadric(space):
+    """The sweep behind _quadric_raws, once its checks have passed."""
+    f, n = space.field, space.n
+    sub, mul, neg = f.raw_sub, f.raw_mul, f.raw_neg
+    raw_q, raw_trace, one = space.raw_q, space.raw_trace, f.one.rep
     rng = range(f.q)
     for x_raws in product(rng, repeat=n):
         pivot = next((i for i in reversed(range(n)) if x_raws[i]), None)
         for z in rng:
-            rhs = f.raw_mul(z, f.raw_sub(1, z))
+            rhs = mul(z, sub(1, z))
             if pivot is None:
                 if rhs != 0:
                     continue
                 y_candidates = product(rng, repeat=n)
             else:
                 y_candidates = _hyperplane_solutions(f, x_raws, pivot, rhs, n)
+            head = x_raws + (sub(1, z),)
             for y_raws in y_candidates:
-                p = IntrinsicQuadricPoint(Vector(f, x_raws), Vector(f, y_raws),
-                                          FieldElement(f, z))
-                points.append(to_ambient(p))
-    return points
+                # w = (x_1..x_n, 1-z, -y_1..-y_n, z), as to_ambient builds it
+                w = head + tuple(map(neg, y_raws)) + (z,)
+                if raw_q(w) != 0:
+                    raise InvariantViolation("q(w) != 0")
+                if raw_trace(w) != one:
+                    raise InvariantViolation("t(w) != 1")
+                yield w
 
 
 def _hyperplane_solutions(f, x_raws, pivot, rhs, n):
@@ -177,8 +200,7 @@ def _hyperplane_solutions(f, x_raws, pivot, rhs, n):
         acc = rhs
         for i, v in zip(free, free_vals):
             acc = f.raw_sub(acc, f.raw_mul(x_raws[i], v))
-        y = list(free_vals[:pivot]) + [f.raw_mul(inv_pivot, acc)] + list(free_vals[pivot:])
-        yield tuple(y)
+        yield free_vals[:pivot] + (f.raw_mul(inv_pivot, acc),) + free_vals[pivot:]
 
 
 def count_closed_form(n, q):
@@ -230,11 +252,13 @@ def count_report(n, field=None, q=None, force=False):
               "closed_form": closed, "recursive": rec}
     if field is not None and field.is_finite and n >= 1:
         space = SplitSpace.pointed_even(field, n)
-        points = enumerate_quadric(space, force=force)
-        opens = sum(1 for pt in points if stratify(pt)[0] == "open_cell")
-        report["count"] = len(points)
-        report["strata"] = {"open": opens, "closed": len(points) - opens}
-        report["match"] = (len(points) == closed == rec)
+        count = opens = 0
+        for w in _quadric_raws(space, force=force):
+            count += 1
+            opens += w[n - 1] != 0   # stratify's open cell: x_n != 0
+        report["count"] = count
+        report["strata"] = {"open": opens, "closed": count - opens}
+        report["match"] = (count == closed == rec)
     else:
         report["match"] = (closed == rec)
     return report

@@ -16,7 +16,6 @@ from itertools import product
 from .errors import TooLarge
 from .guards import ENUM_GUARD
 from .quadform import SplitSpace, Vector
-from .quadric import is_on_quadric
 
 
 class SpinFactor:
@@ -42,11 +41,15 @@ class SpinFactor:
     def jsquare(self, x):
         """x^2 = t(x) x - q(x) 1."""
         self.space._check_dim(x)
+        return Vector(self.field, self.raw_jsquare(x.raws))
+
+    def raw_jsquare(self, raws):
+        """x^2 = t(x) x - q(x) 1 on a raw tuple; nothing is checked."""
         f = self.field
-        t = self.space.raw_trace(x.raws)
-        q = self.space.raw_q(x.raws)
-        return Vector(f, (f.raw_sub(f.raw_mul(t, a), f.raw_mul(q, o))
-                          for a, o in zip(x.raws, self.one.raws)))
+        sub, mul = f.raw_sub, f.raw_mul
+        t = self.space.raw_trace(raws)
+        q = self.space.raw_q(raws)
+        return tuple(sub(mul(t, a), mul(q, o)) for a, o in zip(raws, self.one.raws))
 
     def u_operator(self, x, y):
         """U_x y = B(x, y*) x - q(x) y*."""
@@ -78,13 +81,16 @@ def verify_projective_space(field, n, force=False):
         raise TooLarge("the projective-space check enumerates a finite field")
     if not force and field.q ** space.dim > ENUM_GUARD:
         raise TooLarge(f"{field.q}^{space.dim} vectors exceeds the guard")
+    jsquare, raw_trace, raw_q = sf.raw_jsquare, space.raw_trace, space.raw_q
+    one = field.one.rep
     idempotents = 0
     quadric_points = 0
     agree = True
     for raws in product(range(field.q), repeat=space.dim):
-        v = Vector(field, raws)
-        is_idem = sf.is_rank_one_projection(v)
-        is_point = is_on_quadric(space, v)
+        # both predicates ask for t(x) = 1; where it fails, both are false
+        trace_one = raw_trace(raws) == one
+        is_idem = trace_one and jsquare(raws) == raws
+        is_point = trace_one and raw_q(raws) == 0
         idempotents += is_idem
         quadric_points += is_point
         agree = agree and (is_idem == is_point)

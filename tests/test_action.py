@@ -1,11 +1,21 @@
+from itertools import product
+
 import pytest
 
 from quadrics.errors import InvalidPrimePower, NotAMember, NotOnQuadric, TooLarge
 from quadrics.fields import Field
-from quadrics.quadform import GroupElement, SplitSpace, dickson, reflection_matrix
+from quadrics.quadform import (
+    GroupElement,
+    SplitSpace,
+    dickson,
+    raw_reflect,
+    reflection_matrix,
+)
 from quadrics.quadric import base_point, count_closed_form, enumerate_quadric
 from quadrics.action import (
     GroupContext,
+    _closure,
+    _normalize_raws,
     act,
     enumerate_group,
     enumerate_isometries,
@@ -319,3 +329,40 @@ def test_verify_similitude_orbit():
     rep3 = verify_similitude_orbit(F3, 1)
     assert rep3["pass"]
     assert rep3["orbit_size"] == 24 and rep3["nonzero_norm_vectors"] == 48
+
+
+def similitude_report_all_directions(field, n):
+    """verify_similitude_orbit's report with the orbit closed at once under
+    the scalars and the reflection pair of every direction: the reference
+    for the orbit grown one generator at a time."""
+    space = SplitSpace.pointed_even(field, n)
+    nonzero_norm = [w for w in product(range(field.q), repeat=space.dim) if space.raw_q(w)]
+    directions = list(dict.fromkeys(_normalize_raws(field, w) for w in nonzero_norm))
+    pairs = [(v, field.raw_inv(space.raw_q(v))) for v in directions]
+    a, inv_a = pairs[0]
+    mul = field.raw_mul
+
+    def images(w):
+        for c in range(2, field.q):
+            yield tuple(mul(c, x) for x in w)
+        for v, inv_q in pairs:
+            yield raw_reflect(space, a, inv_a, raw_reflect(space, v, inv_q, w))
+
+    seen = set(_closure([space.one_vector().raws], images))
+    squares = {mul(c, c) for c in range(1, field.q)}
+    expected = {w for w in nonzero_norm
+                if field.characteristic == 2 or space.raw_q(w) in squares}
+    return {"check": "similitude", "n": n, "field": str(field),
+            "orbit_size": len(seen), "nonzero_norm_vectors": len(nonzero_norm),
+            "expected_orbit_size": len(expected), "pass": seen == expected}
+
+
+@pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F4, 1), (F5, 1), (F2, 2), (F3, 2)],
+                         ids=["1-2", "1-3", "1-4", "1-5", "2-2", "2-3"])
+def test_similitude_orbit_matches_all_directions_closure(field, n):
+    report = verify_similitude_orbit(field, n)
+    assert report == similitude_report_all_directions(field, n)
+    if (field, n) == (F2, 1):   # the pairs run out: 3 of the 6 vectors
+        assert not report["pass"] and report["orbit_size"] == 3
+    else:
+        assert report["pass"]

@@ -255,10 +255,19 @@ def test_extension_point_accepts_powers_and_signs(capsys, point, same_as):
 
 
 def test_determinism(capsys):
-    code1, out1 = run(capsys, "verify", "homogeneous", "--n", "1", "--field", "2^2")
-    code2, out2 = run(capsys, "verify", "homogeneous", "--n", "1", "--field", "2^2")
-    assert code1 == code2 == 0
-    assert out1 == out2 and out1
+    commands = [("verify", "homogeneous", "--n", "1", "--field", "2^2"),
+                ("count", "--n", "2", "--field", "3"),
+                ("verify", "spin", "--n", "1", "--field", "5"),
+                ("verify", "similitude", "--n", "1", "--field", "2^2"),
+                ("verify", "similitude", "--n", "2", "--field", "3"),
+                ("transport", "--n", "1", "--field", "3", "--point", "1,2,2,2"),
+                ("transport", "--n", "2", "--field", "5", "--point", "1,2,0,3,1,1")]
+    for argv in commands:
+        for fmt in ("json", "csv", "table"):
+            code1, out1 = run(capsys, *argv, "--format", fmt)
+            code2, out2 = run(capsys, *argv, "--format", fmt)
+            assert code1 == code2 == 0, (argv, fmt)
+            assert out1 == out2 and out1, (argv, fmt)
 
 
 def test_csv_and_table_formats(capsys):
@@ -393,7 +402,9 @@ def test_verify_homogeneous_golden_bytes(capsys, n, spec):
 
 
 # census reports as printed before the field kernels were bound per kind and
-# the orbit BFS loops were merged; both run under all three commands
+# the orbit BFS loops were merged; both run under all three commands.  The
+# last three, the heaviest census cells, were printed before census ran on
+# raw tuples and the similitude orbit took its directions one at a time.
 CENSUS_GOLDEN = {
     ("count", "--n", "2", "--field", "3^2"): """{
   "n": 2,
@@ -425,6 +436,39 @@ CENSUS_GOLDEN = {
   "orbit_size": 240,
   "nonzero_norm_vectors": 480,
   "expected_orbit_size": 240,
+  "pass": true
+}
+""",
+    ("count", "--n", "2", "--field", "2^4"): """{
+  "n": 2,
+  "field": "2^4",
+  "closed_form": 65792,
+  "recursive": 65792,
+  "count": 65792,
+  "strata": {
+    "open": 61440,
+    "closed": 4352
+  },
+  "match": true
+}
+""",
+    ("verify", "spin", "--n", "2", "--field", "7"): """{
+  "check": "spin_projective",
+  "n": 2,
+  "field": "7",
+  "idempotents": 2450,
+  "quadric_points": 2450,
+  "equal": true,
+  "pass": true
+}
+""",
+    ("verify", "similitude", "--n", "1", "--field", "7"): """{
+  "check": "similitude",
+  "n": 1,
+  "field": "7",
+  "orbit_size": 1008,
+  "nonzero_norm_vectors": 2016,
+  "expected_orbit_size": 1008,
   "pass": true
 }
 """,

@@ -26,6 +26,8 @@ def test_tracer_wraps_every_target_and_restores_it(capsys):
         tracer.install()
         assert quadrics.cli.main is not original_main
         assert quadrics.cli.main(["count", "--n", "1", "--field", "2"]) == 0
+        # count reads raw tuples; transport --all enumerates the 6 points
+        assert quadrics.cli.main(["transport", "--n", "1", "--field", "2", "--all"]) == 0
     finally:
         tracer.uninstall()
     assert quadrics.cli.main is original_main is main

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from quadrics.errors import InvalidPrimePower, InvariantViolation, TooLarge
@@ -5,6 +7,7 @@ from quadrics.fields import Field
 from quadrics.quadform import SplitSpace
 from quadrics.quadric import (
     AmbientQuadricPoint,
+    _quadric_raws,
     IntrinsicQuadricPoint,
     base_point,
     count_closed_form,
@@ -92,6 +95,24 @@ def test_enumerate_guard():
     space = SplitSpace.pointed_even(Field.prime(1021), 4)
     with pytest.raises(TooLarge):
         enumerate_quadric(space)
+    with pytest.raises(TooLarge):   # before the first point is drawn
+        _quadric_raws(space)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3),
+                                 (2, 4), (2, 5)])
+def test_raw_enumeration_matches_points(n, q):
+    space = SplitSpace.pointed_even(Field.of_order(q), n)
+    raws = list(_quadric_raws(space))
+    points = enumerate_quadric(space)
+    assert raws == [p.w.raws for p in points]
+    assert all(p.space is space for p in points)
+    # the open cell by coordinate, as count_report reads it, against stratify
+    assert [w[n - 1] != 0 for w in raws] == \
+        [stratify(p)[0] == "open_cell" for p in points]
+    # the set against a sweep of the whole ambient space
+    assert set(raws) == {w for w in product(range(q), repeat=space.dim)
+                         if space.raw_q(w) == 0 and space.raw_trace(w) == 1}
 
 
 def test_count_closed_form():
