@@ -21,16 +21,18 @@ from .quadform import Vector
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        if args.n < 0:
+            raise ValueError("--n must be nonnegative")
         if args.command == "count":
             record, failed = _cmd_count(args)
         elif args.command == "verify":
             record, failed = _cmd_verify(args)
         else:
             record, failed = _cmd_transport(args)
+        _emit(record, args)
     except (TooLarge, ValueError, QuadricsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, NotOnQuadric) else 2
-    _emit(record, args)
     return 1 if failed else 0
 
 
@@ -67,17 +69,13 @@ def _parser():
     return parser
 
 
-def _field_of(args, required=True):
+def _field_of(args):
     if getattr(args, "field", None):
         return Field.parse(args.field)
-    if required:
-        raise ValueError("--field is required for this command")
-    return None
+    raise ValueError("--field is required for this command")
 
 
 def _cmd_count(args):
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
     if args.field:
         field = Field.parse(args.field)
         record = count_report(args.n, field=field, force=args.force)
@@ -168,8 +166,11 @@ def _emit(record, args):
         text = "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         print(text)
 

@@ -245,12 +245,14 @@ def stratify(point):
 def count_report(n, field=None, q=None, force=False):
     """Counting record used by the command line interface."""
     if field is not None:
+        if not field.is_finite:
+            raise InfiniteField("cannot count points over the rationals")
         q = field.q
     closed = count_closed_form(n, q)
     rec = count_recursive(n, q)
     report = {"n": n, "field": str(field) if field is not None else str(q),
               "closed_form": closed, "recursive": rec}
-    if field is not None and field.is_finite and n >= 1:
+    if field is not None and n >= 1:
         space = SplitSpace.pointed_even(field, n)
         count = opens = 0
         for w in _quadric_raws(space, force=force):

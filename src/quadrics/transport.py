@@ -124,26 +124,26 @@ class TransportCertificate:
 
 # -- candidate streams -------------------------------------------------------
 
-def _full_sweep(space, height):
+def _full_sweep(space):
     """All vectors of the space: lexicographic over a finite field, integer
-    coordinates of height <= height over the rationals."""
+    coordinates of height <= DEFAULT_HEIGHT over the rationals."""
     f = space.field
     if f.is_finite:
         coords = range(f.q)
     else:
-        coords = [f.element(c).rep for c in range(-height, height + 1)]
+        coords = [f.element(c).rep for c in range(-DEFAULT_HEIGHT, DEFAULT_HEIGHT + 1)]
     for raws in product(coords, repeat=space.dim):
         yield Vector(f, raws)
 
 
 # -- the transport operations -------------------------------------------------
 
-def reflection_transport(space, x, y, candidates=None, height=DEFAULT_HEIGHT):
+def reflection_transport(space, x, y):
     """A verified word of at most two reflections moving x to y.
 
     Requires q(x) = q(y).  When the difference is anisotropic a single
     reflection suffices; otherwise the auxiliary vector w is searched over
-    `candidates` (structured vectors first, then a full sweep by default).
+    the structured vectors first, then the full sweep.
     """
     space._check_dim(x)
     space._check_dim(y)
@@ -155,9 +155,7 @@ def reflection_transport(space, x, y, candidates=None, height=DEFAULT_HEIGHT):
     diff = x - y
     if space.raw_q(diff.raws):
         return TransportCertificate(space, [diff], None, x, y, "case1")
-    if candidates is None:
-        candidates = chain(space.structured_vectors(), _full_sweep(space, height))
-    for w in candidates:
+    for w in chain(space.structured_vectors(), _full_sweep(space)):
         if not space.raw_q(w.raws):
             continue
         if not space.raw_b(x.raws, w.raws) or not space.raw_b(y.raws, w.raws):
@@ -221,7 +219,7 @@ def quadric_transport(ctx, point):
     return TransportCertificate(space, [a_prime, a], None, x0, target, "case2")
 
 
-def similitude_transport(space, v, height=DEFAULT_HEIGHT):
+def similitude_transport(space, v):
     """A certificate scaling v to norm 1 and reflecting it onto the
     one-vector; fails with NonSquareNorm when 1/q(v) is not a square, the
     rational-point obstruction to similitude transitivity."""
@@ -239,7 +237,7 @@ def similitude_transport(space, v, height=DEFAULT_HEIGHT):
     if lam is None:
         raise NonSquareNorm(f"1/q(v) = {f.raw_inv(qv)} is not a square")
     scaled = v.scale(f.element(lam))
-    inner = reflection_transport(space, scaled, one, height=height)
+    inner = reflection_transport(space, scaled, one)
     scalar = f.element(lam)
     return TransportCertificate(space, inner.word, scalar, v, one,
                                 "scaled_" + inner.path)

@@ -268,7 +268,9 @@ def test_schreier_stabilizer_matches_direct_enumeration(field, n):
     # the direct column search over 2^36 candidates at (2, 2) needs force
     members = enumerate_group(c, "so_odd", method="direct", force=True)
     direct = stabilizer(c, c.x0, members=members)
-    assert {GroupElement(field, rows) for rows in found.stabilizer} == set(direct)
+    listed = found.next.elements()
+    assert len(listed) == len(set(listed))
+    assert {GroupElement(field, rows) for rows in listed} == set(direct)
     assert {p.w.raws for p in orbit(c)} == set(found.tree)
     assert found.order() == len(members) == group_order("odd", n, field.q)
     assert all(in_so_odd(c, g) for g in gens)
@@ -276,6 +278,34 @@ def test_schreier_stabilizer_matches_direct_enumeration(field, n):
         assert GroupElement(field, u).apply(c.x0).raws == p
         assert GroupElement(field, u) * GroupElement(field, u_inv) == \
             GroupElement.identity(field, c.dim)
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (4, 1), (5, 1), (7, 1), (8, 1), (9, 1),
+                                 (2, 2), (3, 2)])
+def test_chain_stabilizer_matches_column_search(q, n):
+    # check (d) by generators and orders against the set equality it replaced
+    field = Field.of_order(q)
+    c = GroupContext(field, n)
+    found, _ = so_orbit_stabilizer(c)
+    listed = set(found.next.elements())
+    column = {c.extend_even(m).rows
+              for m in enumerate_isometries(c.even_space, dickson_value=0)}
+    assert listed == column
+    report = verify_homogeneous(field, n)
+    assert report["checks"]["stabilizer_is_extended_even"] is (listed == column)
+    assert report["stab_size"] == len(column) == found.next.order()
+
+
+def test_verify_homogeneous_never_lists_a_group(monkeypatch):
+    import quadrics.action as action
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_homogeneous started a column search")
+
+    monkeypatch.setattr(action, "enumerate_isometries", refuse)
+    monkeypatch.setattr(action, "_isometry_guard", refuse)
+    for field, n in [(F3, 1), (F4, 1), (F2, 2)]:
+        assert verify_homogeneous(field, n)["pass"]
 
 
 def test_orbit_stabilizer_guard():

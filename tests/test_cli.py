@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadrics.cli import main
 
@@ -287,6 +290,30 @@ def test_out_file(tmp_path, capsys):
     assert record["count"] == 12
 
 
+@pytest.mark.parametrize("target", ["dir", "missing/report.json"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, target):
+    (tmp_path / "dir").mkdir()
+    code = main(["count", "--n", "1", "--field", "3", "--out", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(tmp_path / target) in captured.err
+
+
+def test_recursion_rejects_negative_n(capsys):
+    code = main(["verify", "recursion", "--n", "-1", "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --n must be nonnegative\n"
+
+
+def test_count_over_rationals_is_a_config_error(capsys):
+    code = main(["count", "--n", "0", "--field", "Q"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: cannot count points over the rationals\n"
+
+
 def test_transport_over_rationals(capsys):
     code, out = run(capsys, "transport", "--n", "1", "--field", "Q",
                     "--point", "1,-2,6,3")
@@ -316,20 +343,31 @@ def test_extension_field_spec(capsys):
     assert "6 is not a prime power" in capsys.readouterr().err
 
 
-def test_homogeneous_guards_fire_before_work(capsys):
-    # the even-group search over 4^16 candidates is refused before the
-    # orbit, the stabilizer or the quadric is enumerated
+def _refused_at_once(capsys, n, spec, message):
     start = time.perf_counter()
-    code = main(["verify", "homogeneous", "--n", "2", "--field", "2^2"])
+    code = main(["verify", "homogeneous", "--n", n, "--field", spec])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2 and elapsed < 2.0
-    assert captured.err == "error: 4^16 candidate matrices exceeds the guard\n"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
-# `verify homogeneous` reports as the whole-group enumeration printed them;
-# the orbit-stabilizer route must reproduce them byte for byte.
+def test_homogeneous_guards_fire_before_work(capsys):
+    # |SO_6(F_3)| = 12,130,560 is past the stabilizer guard: refused before
+    # the orbit, the chain or the quadric is enumerated
+    _refused_at_once(capsys, "3", "3", "stabilizer order 12130560 exceeds the closure guard")
+
+
+def test_homogeneous_point_guard_fires_before_the_chain(capsys):
+    # (1, 467) has a small stabilizer (order 466) but 467^3 candidate
+    # points: the quadric's guard refuses it before a 218k-point orbit
+    _refused_at_once(capsys, "1", "467", "467^3 points exceeds the enumeration guard")
+
+
+# `verify homogeneous` reports as the whole-group enumeration printed them
+# ((2, 2^2): as the column search of check (d) printed it under --force);
+# the stabilizer chain must reproduce them byte for byte.
 HOMOGENEOUS_GOLDEN = {
     ("1", "3^2"): """{
   "check": "homogeneous",
@@ -361,6 +399,26 @@ HOMOGENEOUS_GOLDEN = {
   "group_size": 720,
   "group_order": 720,
   "even_group_order": 36,
+  "checks": {
+    "orbit_covers_quadric": true,
+    "stabilizer_order": true,
+    "orbit_stabilizer_product": true,
+    "stabilizer_is_extended_even": true
+  },
+  "pass": true,
+  "witnesses": []
+}
+""",
+    ("2", "2^2"): """{
+  "check": "homogeneous",
+  "n": 2,
+  "field": "2^2",
+  "quadric_points": 272,
+  "orbit_size": 272,
+  "stab_size": 3600,
+  "group_size": 979200,
+  "group_order": 979200,
+  "even_group_order": 3600,
   "checks": {
     "orbit_covers_quadric": true,
     "stabilizer_order": true,
@@ -480,3 +538,52 @@ def test_census_golden_bytes(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == CENSUS_GOLDEN[argv]
+
+
+# -- argv grammar ---------------------------------------------------------------
+
+COMMANDS = [("count",), ("verify", "homogeneous"), ("verify", "spin"),
+            ("verify", "similitude"), ("verify", "recursion"), ("verify", "bogus"),
+            ("transport",), ("transport", "--all")]
+POINTS = ["1,0,0,1", "0,1,0,1", "1,0,0,0,0,1", "1/0,0,0,1", "g,0,0,1", "", "1,2", "x,y"]
+
+
+def _option(flag, values, absent=1):
+    """flag with one of values, or nothing with weight absent : len(values)."""
+    return st.sampled_from([None] * absent + values).map(lambda v: () if v is None else (flag, v))
+
+
+@st.composite
+def argvs(draw):
+    """A command line, mostly well formed: each command draws its own options
+    and, rarely, one that it does not take; --out, if drawn, is unwritable."""
+    command = draw(st.sampled_from(COMMANDS))
+    transport = command[0] == "transport"
+    return [*command,
+            *draw(_option("--n", ["-2", "-1", "0", "1", "2"])),
+            *draw(_option("--field", ["2", "3", "4", "2^2", "6", "Q", "0", "x", "2^9"])),
+            *draw(_option("--q", ["3", "6", "0", "-3", "1", "x"], absent=30 if transport else 6)),
+            *draw(_option("--point", POINTS, absent=1 if transport else 60)),
+            *draw(_option("--format", ["json", "csv", "table", "xml"], absent=4)),
+            *draw(_option("--out", ["dir", "missing"], absent=4))]
+
+
+@pytest.fixture(scope="module")
+def out_paths(tmp_path_factory):
+    base = tmp_path_factory.mktemp("out")
+    (base / "dir").mkdir()
+    return {"dir": str(base / "dir"), "missing": str(base / "missing" / "report.json")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=argvs())
+def test_cli_exits_cleanly_on_any_argv(out_paths, argv):
+    argv = [out_paths.get(arg, arg) for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in stderr.getvalue(), argv
