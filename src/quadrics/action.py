@@ -264,6 +264,8 @@ def so_model_closure(ctx, force=False):
     """The SO-model listed from the stabilizer chain of so_orbit_stabilizer,
     as every product of one transversal element per level; returns the
     elements as a set of row tuples and the rows of the pair generators."""
+    if not ctx.field.is_finite:
+        raise TooLarge("group enumeration needs a finite field")
     expected = group_order("odd", ctx.n, ctx.field.q)
     if not force and expected > CLOSURE_GUARD:
         raise TooLarge(f"group order {expected} exceeds the closure guard")
@@ -274,29 +276,21 @@ def so_model_closure(ctx, force=False):
     return set(found.elements()), [g.rows for g in gens]
 
 
-def enumerate_group(ctx_or_space, model="so_odd", method="auto", dickson_value=None,
-                    force=False):
-    """Enumerate one of the concrete group models.
+def enumerate_group(ctx_or_space, model="so_odd", dickson_value=None, force=False):
+    """Enumerate one of the concrete group models, sorted by rows.
 
-    For a GroupContext: model "o_odd" (isometries fixing 1) or "so_odd"
-    (plus Dickson 0).  For a SplitSpace: model "isometry" with an optional
-    Dickson filter.  method: "direct" (column enumeration), "closure"
-    (reflection pairs; SO-model only), or "auto".  When both routes run,
-    callers can compare results; results are sorted deterministically.
+    For a GroupContext: model "o_odd" (isometries fixing 1, by the column
+    search) or "so_odd" (plus Dickson 0, listed from the stabilizer chain by
+    so_model_closure).  For a SplitSpace: model "isometry" with an optional
+    Dickson filter, by the column search.
     """
     if isinstance(ctx_or_space, GroupContext):
         ctx = ctx_or_space
-        f = ctx.field
         if model == "o_odd":
             members = enumerate_isometries(ctx.space, fix_one=True, force=force)
         elif model == "so_odd":
-            direct_ok = f.q ** (ctx.dim * ctx.dim) <= BRUTE_GUARD
-            if method == "direct" or (method == "auto" and direct_ok):
-                members = enumerate_isometries(ctx.space, fix_one=True,
-                                               dickson_value=0, force=force)
-            else:
-                rows, _ = so_model_closure(ctx, force=force)
-                members = [GroupElement(f, r) for r in rows]
+            rows, _ = so_model_closure(ctx, force=force)
+            members = [GroupElement(ctx.field, r) for r in rows]
         else:
             raise ValueError(f"unknown context model {model!r}")
     else:

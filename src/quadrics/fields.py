@@ -19,6 +19,7 @@ from .errors import (
     FieldMismatch,
     InfiniteField,
     InvalidElement,
+    InvalidPrimePower,
     NoModulusAvailable,
     NonPrimeCharacteristic,
     UnsupportedSize,
@@ -166,10 +167,12 @@ class Field:
         spec = spec.strip()
         if spec in ("Q", "QQ", "rational", "rationals"):
             return cls.rationals()
-        if "^" in spec:
-            p_str, k_str = spec.split("^", 1)
-            return cls.extension(int(p_str), int(k_str))
-        return cls.of_order(int(spec))
+        try:
+            numbers = [int(part) for part in spec.split("^", 1)]
+        except ValueError:
+            raise InvalidPrimePower(
+                f"cannot read field {spec!r}: expected p^k, a prime power q, or Q") from None
+        return cls.extension(*numbers) if len(numbers) == 2 else cls.of_order(*numbers)
 
     @classmethod
     def of_order(cls, q):

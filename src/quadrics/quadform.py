@@ -8,6 +8,10 @@ Three shapes of split space over a field F:
 
 The pointed even space carries the distinguished vector 1 = e_{n+1} + e_{2n+2}
 with q(1) = 1 and the trace form t(x) = B(x, 1) = x_{n+1} + x_{2n+2}.
+
+A matrix m is tested against q through its Gram data: q of each column and B
+of each pair of columns, against the same values on the basis.  is_isometry
+and similitude_factor both read these pairs from _gram_pairs.
 """
 
 from functools import cache
@@ -261,8 +265,8 @@ class SplitSpace:
 class GroupElement:
     """An invertible square matrix over a Field, acting on column vectors.
 
-    Rows are stored as tuples of packed raw values.  Similitude factor and
-    Dickson invariant are cached after first computation against a space.
+    Rows are stored as tuples of packed raw values.  The elimination, the
+    inverse and the Dickson invariant are cached after first computation.
     """
 
     __slots__ = ("field", "rows", "cache")
@@ -432,7 +436,6 @@ def reflection_matrix(space, v):
                           for j, c in enumerate(coeffs)]
                          for i, vi in enumerate(v.raws)])
     m.cache["dickson"] = 1
-    m.cache["similitude"] = 1
     return m
 
 
@@ -450,43 +453,32 @@ def _basis_form_values(space):
     return space._basis_values
 
 
-def is_isometry(space, m):
-    """True iff m preserves q; checked on basis values and pairings, which
-    determine q(mx) = q(x) for all x over any ring."""
+def _gram_pairs(space, m):
+    """(got, want) for q on each column of m, then B on each pair of columns,
+    against the basis values: m scales q by c iff got = c * want throughout,
+    over any ring."""
     _check_matrix(space, m)
     cols = tuple(zip(*m.rows))
     q_vals, b_vals = _basis_form_values(space)
-    for j, col in enumerate(cols):
-        if space.raw_q(col) != q_vals[j]:
-            return False
-    for (i, j), val in b_vals.items():
-        if space.raw_b(cols[i], cols[j]) != val:
-            return False
-    return True
+    for col, want in zip(cols, q_vals):
+        yield space.raw_q(col), want
+    for (i, j), want in b_vals.items():
+        yield space.raw_b(cols[i], cols[j]), want
+
+
+def is_isometry(space, m):
+    """True iff m preserves q; stops at the first Gram value that differs."""
+    return all(got == want for got, want in _gram_pairs(space, m))
 
 
 def similitude_factor(space, m):
     """The unit c with q(mx) = c q(x) for all x, or None if there is none."""
-    _check_matrix(space, m)
     f = space.field
-    cols = tuple(zip(*m.rows))
-    q_vals, b_vals = _basis_form_values(space)
-    factor = None
-    conditions = [(space.raw_q(cols[j]), q_vals[j]) for j in range(space.dim)]
-    conditions += [(space.raw_b(cols[i], cols[j]), val)
-                   for (i, j), val in b_vals.items()]
-    for got, want in conditions:
-        if want:
-            factor = f.raw_div(got, want)
-            break
-    if factor is None or not factor:
+    pairs = list(_gram_pairs(space, m))
+    factor = next((f.raw_div(got, want) for got, want in pairs if want), None)
+    if not factor or any(got != f.raw_mul(factor, want) for got, want in pairs):
         return None
-    for got, want in conditions:
-        if got != f.raw_mul(factor, want):
-            return None
-    value = FieldElement(f, factor)
-    m.cache["similitude"] = factor
-    return value
+    return FieldElement(f, factor)
 
 
 def dickson(space, m):

@@ -13,7 +13,9 @@ there, with no search: case 1 is the single reflection r_{w - x_0},
 post-composed with r_{u*}, u* = e_1 + e_{n+2} (which fixes both 1 and x_0),
 to land in the Dickson-0 model; case 2 happens exactly when w_{n+1} = 0, and
 then a = e_{n+1} - e_{2n+2} serves as the auxiliary vector over every field.
-Each certificate costs O(d^3) and is re-verified before it is returned.
+Each certificate costs O(d^3).  TransportCertificate.verify is its one check:
+construction runs it, and so can any later caller.  It makes one Gram pass
+for the similitude factor and computes the Dickson invariant from the matrix.
 """
 
 from itertools import chain, product
@@ -31,8 +33,6 @@ from .quadform import (
     GroupElement,
     Vector,
     _dickson,
-    dickson,
-    is_isometry,
     reflect,
     reflection_matrix,
     similitude_factor,
@@ -47,8 +47,9 @@ class TransportCertificate:
 
     The word [v_1, ..., v_m] acts right to left: the assembled element is
     r_{v_1} ... r_{v_m} composed with the scalar, which commutes.  Applying
-    it to `source` yields `target`; `verify()` rechecks everything from
-    scratch and `verified` records that it was checked at construction.
+    it to `source` yields `target`.  `verify()` is the one check: the call
+    made at construction records the Dickson invariant it computes and sets
+    `verified`; each later call recomputes everything from the matrix.
     """
 
     __slots__ = ("space", "word", "scalar", "source", "target", "matrix",
@@ -70,10 +71,7 @@ class TransportCertificate:
         if scalar is not None:
             m = m * GroupElement.scalar(space.field, space.dim, scalar)
         object.__setattr__(self, "matrix", m)
-        # the Dickson invariant is carried for isometric assemblies only, and
-        # computed from the assembled matrix once is_isometry has passed
-        d = _dickson(space, m) if space.shape != "odd" and is_isometry(space, m) else None
-        object.__setattr__(self, "dickson", d)
+        object.__setattr__(self, "verified", False)
         if not self.verify():
             raise InvariantViolation("transport certificate failed verification")
         object.__setattr__(self, "verified", True)
@@ -82,26 +80,25 @@ class TransportCertificate:
         raise AttributeError("TransportCertificate is immutable")
 
     def verify(self):
-        """Recheck the certificate: word vectors have invertible norm, the
-        assembled matrix moves source to target, and it is an isometry
-        (or a similitude with factor scalar^2 when a scalar is present)."""
+        """Recheck the certificate from the word and the matrix: word vectors
+        have invertible norm, the matrix moves source to target, and one Gram
+        pass gives similitude factor scalar^2 (1 without a scalar).  With
+        factor 1 on an even shape the Dickson invariant is computed from the
+        matrix; the first call records it, later calls compare against it."""
         space = self.space
         for v in self.word:
             if not space.raw_q(v.raws):
                 return False
         if self.matrix.apply(self.source) != self.target:
             return False
-        if self.scalar is None or self.scalar == space.field.one:
-            if not is_isometry(space, self.matrix):
-                return False
-        else:
-            factor = similitude_factor(space, self.matrix)
-            if factor is None or factor != self.scalar * self.scalar:
-                return False
-        if self.dickson is not None and space.shape != "odd":
-            if dickson(space, self.matrix) != self.dickson:
-                return False
-        return True
+        factor = similitude_factor(space, self.matrix)
+        one = space.field.one
+        if factor != (one if self.scalar is None else self.scalar * self.scalar):
+            return False
+        d = _dickson(space, self.matrix) if factor == one and space.shape != "odd" else None
+        if not self.verified:
+            object.__setattr__(self, "dickson", d)
+        return d == self.dickson
 
     def __len__(self):
         return len(self.word)

@@ -63,7 +63,7 @@ def test_criterion_3_group_orders_vs_brute_force():
     # rank-3 special orthogonal group; its brute-forced order matches the
     # classical formula.  The Dickson-unrestricted stabilizer is exactly twice
     # as large (the extra coset is r_1 times the model), which is pinned too.
-    so_model = enumerate_group(ctx, "so_odd", method="direct")
+    so_model = enumerate_isometries(ctx.space, fix_one=True, dickson_value=0)
     o_model = enumerate_group(ctx, "o_odd")
     so2 = enumerate_isometries(SplitSpace.even(Field.prime(3), 1), dickson_value=0)
     so4 = enumerate_isometries(SplitSpace.even(Field.prime(2), 2), dickson_value=0)

@@ -194,10 +194,10 @@ def test_o_model_counts():
 
 def test_so_model_counts_and_agreement():
     for c, expected in [(ctx2(), 6), (ctx3(), 24)]:
-        direct = enumerate_group(c, "so_odd", method="direct")
-        closure = enumerate_group(c, "so_odd", method="closure")
+        direct = enumerate_isometries(c.space, fix_one=True, dickson_value=0)
+        closure = enumerate_group(c, "so_odd")
         assert len(direct) == expected
-        assert direct == closure
+        assert sorted(direct, key=lambda m: m.rows) == closure
 
 
 @pytest.mark.parametrize("make_ctx", [ctx2, ctx3])
@@ -224,6 +224,18 @@ def test_enumerate_even_groups():
 def test_enumerate_guard():
     with pytest.raises(TooLarge):
         enumerate_isometries(SplitSpace.even(F5, 3))
+
+
+def test_so_model_over_rationals_is_too_large():
+    with pytest.raises(TooLarge):
+        enumerate_group(GroupContext(Field.parse("Q"), 1), "so_odd")
+
+
+def test_enumerate_group_has_no_method_option():
+    # the SO-model is always listed from the chain; the column search is
+    # enumerate_isometries
+    with pytest.raises(TypeError):
+        enumerate_group(ctx2(), "so_odd", method="direct")
 
 
 def test_closure_matches_direct_so5_f2():
@@ -266,7 +278,7 @@ def test_schreier_stabilizer_matches_direct_enumeration(field, n):
     c = GroupContext(field, n)
     found, gens = so_orbit_stabilizer(c)
     # the direct column search over 2^36 candidates at (2, 2) needs force
-    members = enumerate_group(c, "so_odd", method="direct", force=True)
+    members = enumerate_isometries(c.space, fix_one=True, dickson_value=0, force=True)
     direct = stabilizer(c, c.x0, members=members)
     listed = found.next.elements()
     assert len(listed) == len(set(listed))

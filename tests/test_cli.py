@@ -542,6 +542,18 @@ def test_census_golden_bytes(capsys, argv):
 
 # -- argv grammar ---------------------------------------------------------------
 
+BAD_FIELD_SPECS = ["x", "2^x", "1.5", "2^"]
+
+
+@pytest.mark.parametrize("spec", BAD_FIELD_SPECS)
+def test_malformed_field_spec_names_the_spec_and_the_forms(capsys, spec):
+    code = main(["count", "--n", "1", "--field", spec])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: cannot read field {spec!r}: "
+                            "expected p^k, a prime power q, or Q\n")
+
+
 COMMANDS = [("count",), ("verify", "homogeneous"), ("verify", "spin"),
             ("verify", "similitude"), ("verify", "recursion"), ("verify", "bogus"),
             ("transport",), ("transport", "--all")]
@@ -561,7 +573,8 @@ def argvs(draw):
     transport = command[0] == "transport"
     return [*command,
             *draw(_option("--n", ["-2", "-1", "0", "1", "2"])),
-            *draw(_option("--field", ["2", "3", "4", "2^2", "6", "Q", "0", "x", "2^9"])),
+            *draw(_option("--field", ["2", "3", "4", "2^2", "6", "Q", "0", "2^9",
+                                      *BAD_FIELD_SPECS])),
             *draw(_option("--q", ["3", "6", "0", "-3", "1", "x"], absent=30 if transport else 6)),
             *draw(_option("--point", POINTS, absent=1 if transport else 60)),
             *draw(_option("--format", ["json", "csv", "table", "xml"], absent=4)),
@@ -587,3 +600,4 @@ def test_cli_exits_cleanly_on_any_argv(out_paths, argv):
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in stderr.getvalue(), argv
+    assert "invalid literal" not in stderr.getvalue(), argv

@@ -314,3 +314,41 @@ def test_certificate_reverify():
     for p in enumerate_quadric(c.space):
         cert = quadric_transport(c, p)
         assert cert.verify()
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_reverify_recomputes_the_dickson_invariant(field):
+    # a recorded invariant that the matrix does not have fails re-verification,
+    # even when the matrix's cache agrees with the record
+    c = GroupContext(field, 1)
+    cert = quadric_transport(c, c.space.vector([0, 1, 0, 0]))
+    assert cert.verify() and cert.dickson == 0
+    object.__setattr__(cert, "dickson", 1)
+    cert.matrix.cache["dickson"] = 1
+    assert not cert.verify()
+
+
+@pytest.mark.parametrize("point,path", [([0, 0, 0, 1], "identity"),
+                                        ([0, 1, 0, 0], "case1"),
+                                        ([1, 0, 0, 1], "case2")])
+def test_construction_runs_one_gram_pass_and_one_dickson(monkeypatch, point, path):
+    import quadrics.quadform as quadform
+    import quadrics.transport as transport
+    calls = {"gram": 0, "dickson": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(quadform, "_gram_pairs", counted("gram", quadform._gram_pairs))
+    dickson = counted("dickson", quadform._dickson)
+    monkeypatch.setattr(quadform, "_dickson", dickson)
+    monkeypatch.setattr(transport, "_dickson", dickson)
+    c = GroupContext(F3, 1)
+    cert = quadric_transport(c, c.space.vector(point))
+    assert cert.path == path
+    assert calls == {"gram": 1, "dickson": 1}
+    assert cert.verify()
+    assert calls == {"gram": 2, "dickson": 2}
