@@ -525,8 +525,15 @@ def verify_similitude_orbit(field, n, force=False):
     reflection pairs, inside {q != 0}.  In characteristic 2 the orbit is all
     of {q != 0}; in odd characteristic it is exactly the vectors whose norm
     is a nonzero square.  The orbit is grown from the scalars, then from one
-    reflection pair at a time in sweep order, until it reaches the expected
-    size or the pairs run out."""
+    reflection pair r_a r_v at a time, until it reaches the expected size or
+    the pairs run out.  a is the first direction in sweep order; the other
+    directions follow in sweep order, those with v_1 != 0 first, since
+    a_1 = 0 and a pair of directions with v_1 = 0 fixes e_{n+2}.
+
+    The orbit never leaves the expected set (scalars scale q by c^2, pairs
+    preserve it), so the BFS stops the moment the sizes agree: equal sizes
+    are equal sets.  If the pairs run out first, the orbit is that of the
+    group all pairs generate, whatever order they came in."""
     space = SplitSpace.pointed_even(field, n)
     f = space.field
     d = space.dim
@@ -556,7 +563,7 @@ def verify_similitude_orbit(field, n, force=False):
 
     def add(g):
         """Close seen under one more map: g on the points already there,
-        every map on the points that turn up."""
+        every map on the points that turn up; stop once seen is complete."""
         maps.append(g)
         work = [(w, (g,)) for w in seen]
         for w, gs in work:   # grows while it is walked: the BFS queue
@@ -564,15 +571,15 @@ def verify_similitude_orbit(field, n, force=False):
                 y = h(w)
                 if y not in seen:
                     seen.add(y)
+                    if len(seen) == len(expected):
+                        return
                     work.append((y, maps))
 
     mul = f.raw_mul
     for c in range(2, f.q):
         add(lambda w, c=c: tuple(mul(c, x) for x in w))
-    # Directions join one pair r_a r_v at a time.  The orbit never leaves
-    # the expected set, so reaching its size means equality; if the
-    # directions run out first, seen is the orbit of the whole group.
     (a, inv_a), *rest = directions.items()   # r_a r_a is the identity
+    rest.sort(key=lambda item: not item[0][0])   # stable: v_1 != 0 first
     for v, inv_q in rest:
         if len(seen) >= len(expected):
             break

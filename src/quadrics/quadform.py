@@ -104,6 +104,10 @@ class Vector:
         return f"Vector({', '.join(self.to_strings())})"
 
 
+def _dim(shape, n):
+    return {"even": 2 * n, "odd": 2 * n + 1, "pointed_even": 2 * n + 2}[shape]
+
+
 @cache
 def _pairs(shape, n):
     """The index pairs (i, j) with q(x) = sum x_i x_j; the odd shape's square
@@ -117,7 +121,7 @@ def _pairs(shape, n):
 class SplitSpace:
     """A split quadratic space of one of the three shapes above."""
 
-    __slots__ = ("field", "shape", "n", "dim", "pairs", "_basis_values")
+    __slots__ = ("field", "shape", "n", "dim", "pairs")
 
     def __init__(self, field, shape, n):
         if shape not in SHAPES:
@@ -127,9 +131,8 @@ class SplitSpace:
         self.field = field
         self.shape = shape
         self.n = n
-        self.dim = {"even": 2 * n, "odd": 2 * n + 1, "pointed_even": 2 * n + 2}[shape]
+        self.dim = _dim(shape, n)
         self.pairs = _pairs(shape, n)
-        self._basis_values = None
 
     @classmethod
     def even(cls, field, n):
@@ -265,8 +268,9 @@ class SplitSpace:
 class GroupElement:
     """An invertible square matrix over a Field, acting on column vectors.
 
-    Rows are stored as tuples of packed raw values.  The elimination, the
-    inverse and the Dickson invariant are cached after first computation.
+    Rows are stored as tuples of packed raw values.  The forward elimination
+    (rank and determinant), the inverse and the Dickson invariant are cached
+    after first computation.
     """
 
     __slots__ = ("field", "rows", "cache")
@@ -328,36 +332,32 @@ class GroupElement:
         return Vector(self.field, self.field.matvec(self.rows, v.raws))
 
     def _elimination(self):
-        """Row-reduce [M | I] once; return (rank, det_raw, inverse rows or
-        None), cached together on the matrix."""
+        """Forward-eliminate M once; return (rank, det_raw), cached together
+        on the matrix.  det_raw is 0 when the rank is short."""
         if "elimination" in self.cache:
             return self.cache["elimination"]
         f = self.field
+        sub, mul = f.raw_sub, f.raw_mul
         d = self.dim
-        aug = [list(row) + [1 if i == j else 0 for j in range(d)]
-               for i, row in enumerate(self.rows)]
+        rows = [list(row) for row in self.rows]
         det = 1
         rank = 0
         for col in range(d):
-            piv = next((r for r in range(rank, d) if aug[r][col]), None)
+            piv = next((r for r in range(rank, d) if rows[r][col]), None)
             if piv is None:
-                det = 0
                 continue
             if piv != rank:
-                aug[rank], aug[piv] = aug[piv], aug[rank]
+                rows[rank], rows[piv] = rows[piv], rows[rank]
                 det = f.raw_neg(det)
-            lead = aug[rank][col]
-            det = f.raw_mul(det, lead)
-            inv_lead = f.raw_inv(lead)
-            aug[rank] = [f.raw_mul(inv_lead, x) for x in aug[rank]]
-            for r in range(d):
-                if r != rank and aug[r][col]:
-                    c = aug[r][col]
-                    aug[r] = [f.raw_sub(x, f.raw_mul(c, y))
-                              for x, y in zip(aug[r], aug[rank])]
+            lead = rows[rank]
+            det = mul(det, lead[col])
+            inv_lead = f.raw_inv(lead[col])
+            for r in range(rank + 1, d):
+                if rows[r][col]:
+                    c = mul(rows[r][col], inv_lead)
+                    rows[r] = [sub(x, mul(c, y)) for x, y in zip(rows[r], lead)]
             rank += 1
-        inverse = [tuple(row[d:]) for row in aug] if rank == d else None
-        result = rank, (det if rank == d else 0), inverse
+        result = rank, (det if rank == d else 0)
         self.cache["elimination"] = result
         return result
 
@@ -368,20 +368,30 @@ class GroupElement:
         return FieldElement(self.field, self._elimination()[1])
 
     def inverse(self):
+        """Gauss-Jordan on [M | I], run only when an inverse is asked for."""
         if "inverse" not in self.cache:
-            rank, _, inv_rows = self._elimination()
-            if inv_rows is None:
-                raise SingularMatrix(f"matrix of rank {rank} < {self.dim}")
-            self.cache["inverse"] = GroupElement(self.field, inv_rows)
+            if not self.is_invertible:
+                raise SingularMatrix(f"matrix of rank {self.rank()} < {self.dim}")
+            f = self.field
+            sub, mul = f.raw_sub, f.raw_mul
+            d = self.dim
+            aug = [list(row) + [1 if i == j else 0 for j in range(d)]
+                   for i, row in enumerate(self.rows)]
+            for col in range(d):
+                piv = next(r for r in range(col, d) if aug[r][col])
+                aug[col], aug[piv] = aug[piv], aug[col]
+                inv_lead = f.raw_inv(aug[col][col])
+                aug[col] = [mul(inv_lead, x) for x in aug[col]]
+                for r in range(d):
+                    if r != col and aug[r][col]:
+                        c = aug[r][col]
+                        aug[r] = [sub(x, mul(c, y)) for x, y in zip(aug[r], aug[col])]
+            self.cache["inverse"] = GroupElement(f, [row[d:] for row in aug])
         return self.cache["inverse"]
 
     @property
     def is_invertible(self):
-        try:
-            self.inverse()
-            return True
-        except SingularMatrix:
-            return False
+        return self.rank() == self.dim
 
     def to_strings(self):
         return [[str(FieldElement(self.field, x)) for x in row] for row in self.rows]
@@ -441,16 +451,18 @@ def reflection_matrix(space, v):
 
 # -- isometries and similitudes ----------------------------------------------
 
-def _basis_form_values(space):
-    """q(e_j) and B(e_i, e_j) for i < j, computed once per space."""
-    if space._basis_values is None:
-        d = space.dim
-        basis = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-        q_vals = [space.raw_q(b) for b in basis]
-        b_vals = {(i, j): space.raw_b(basis[i], basis[j])
-                  for i in range(d) for j in range(i + 1, d)}
-        space._basis_values = q_vals, b_vals
-    return space._basis_values
+@cache
+def _basis_form_values(shape, n):
+    """q(e_j), then ((i, j), B(e_i, e_j)) for i < j, as raw 0/1 read from
+    _pairs: q(e_j) = 1 only on the odd shape's square slot, and B(e_i, e_j)
+    = 1 exactly on a hyperbolic pair.  Shared by every space of one shape
+    and rank, over every field."""
+    pairs = _pairs(shape, n)
+    d = _dim(shape, n)
+    q_vals = tuple(int((j, j) in pairs) for j in range(d))
+    b_vals = tuple(((i, j), int((i, j) in pairs))
+                   for i in range(d) for j in range(i + 1, d))
+    return q_vals, b_vals
 
 
 def _gram_pairs(space, m):
@@ -459,10 +471,10 @@ def _gram_pairs(space, m):
     over any ring."""
     _check_matrix(space, m)
     cols = tuple(zip(*m.rows))
-    q_vals, b_vals = _basis_form_values(space)
+    q_vals, b_vals = _basis_form_values(space.shape, space.n)
     for col, want in zip(cols, q_vals):
         yield space.raw_q(col), want
-    for (i, j), want in b_vals.items():
+    for (i, j), want in b_vals:
         yield space.raw_b(cols[i], cols[j]), want
 
 

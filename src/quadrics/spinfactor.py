@@ -74,7 +74,9 @@ class SpinFactor:
 
 def verify_projective_space(field, n, force=False):
     """Exhaustively compare {x : x^2 = x, t(x) = 1} with the quadric point
-    set over a finite field."""
+    set over a finite field.  Both sets lie in the hyperplane t(x) = 1, so
+    only it is swept: x_1..x_{2n+1} run over F_q and x_{2n+2} = 1 - x_{n+1},
+    q^{2n+1} vectors, each tested against both predicates."""
     sf = SpinFactor(field, n)
     space = sf.space
     if not field.is_finite:
@@ -82,12 +84,13 @@ def verify_projective_space(field, n, force=False):
     if not force and field.q ** space.dim > ENUM_GUARD:
         raise TooLarge(f"{field.q}^{space.dim} vectors exceeds the guard")
     jsquare, raw_trace, raw_q = sf.raw_jsquare, space.raw_trace, space.raw_q
-    one = field.one.rep
+    sub, one = field.raw_sub, field.one.rep
     idempotents = 0
     quadric_points = 0
     agree = True
-    for raws in product(range(field.q), repeat=space.dim):
-        # both predicates ask for t(x) = 1; where it fails, both are false
+    for head in product(range(field.q), repeat=space.dim - 1):
+        raws = head + (sub(one, head[n]),)
+        # both predicates ask for t(x) = 1, which the sweep makes true
         trace_one = raw_trace(raws) == one
         is_idem = trace_one and jsquare(raws) == raws
         is_point = trace_one and raw_q(raws) == 0

@@ -37,6 +37,7 @@ F2 = Field.prime(2)
 F3 = Field.prime(3)
 F4 = Field.extension(2, 2)
 F5 = Field.prime(5)
+F7 = Field.prime(7)
 
 
 def ctx2():
@@ -399,8 +400,9 @@ def similitude_report_all_directions(field, n):
             "expected_orbit_size": len(expected), "pass": seen == expected}
 
 
-@pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F4, 1), (F5, 1), (F2, 2), (F3, 2)],
-                         ids=["1-2", "1-3", "1-4", "1-5", "2-2", "2-3"])
+@pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F4, 1), (F5, 1), (F7, 1),
+                                     (F2, 2), (F3, 2)],
+                         ids=["1-2", "1-3", "1-4", "1-5", "1-7", "2-2", "2-3"])
 def test_similitude_orbit_matches_all_directions_closure(field, n):
     report = verify_similitude_orbit(field, n)
     assert report == similitude_report_all_directions(field, n)
@@ -408,3 +410,22 @@ def test_similitude_orbit_matches_all_directions_closure(field, n):
         assert not report["pass"] and report["orbit_size"] == 3
     else:
         assert report["pass"]
+
+
+@pytest.mark.parametrize("field,before", [(F7, 84_672), (Field.of_order(9), 414_720)],
+                         ids=["1-7", "1-9"])
+def test_similitude_orbit_stops_once_complete(monkeypatch, field, before):
+    """The BFS stops when the orbit reaches the expected size, and directions
+    with v_1 != 0 come first: under a quarter of the raw_reflect calls of
+    the sweep-order BFS that closed the orbit under every map it had."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return raw_reflect(*args)
+
+    monkeypatch.setattr("quadrics.action.raw_reflect", counted)
+    report = verify_similitude_orbit(field, 1)
+    assert report["pass"]
+    assert calls < before / 4

@@ -8,16 +8,19 @@ from quadrics.errors import (
     NonUnitNorm,
     NotAnIsometry,
     OddDimension,
+    SingularMatrix,
     WrongShape,
 )
 from quadrics.fields import Field
 from quadrics.quadform import (
+    SHAPES,
     GroupElement,
     SplitSpace,
     Vector,
     dickson,
     embed_even_to_odd,
     embed_odd_to_pointed,
+    _basis_form_values,
     is_isometry,
     reflect,
     reflection_matrix,
@@ -26,6 +29,7 @@ from quadrics.quadform import (
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F4 = Field.extension(2, 2)
 F5 = Field.prime(5)
 Q = Field.rationals()
 
@@ -212,6 +216,71 @@ def test_det_reuses_the_elimination_behind_is_invertible():
     eliminated = m.cache["elimination"]
     assert m.det() == F5.one and m.rank() == 4
     assert m.cache["elimination"] is eliminated
+
+
+def gauss_jordan_rank_det(f, rows):
+    """Rank and raw determinant by full Gauss-Jordan reduction with
+    normalized pivots: the reference for the forward elimination."""
+    d = len(rows)
+    m = [list(r) for r in rows]
+    rank, det = 0, 1
+    for col in range(d):
+        piv = next((r for r in range(rank, d) if m[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = f.raw_neg(det)
+        det = f.raw_mul(det, m[rank][col])
+        inv = f.raw_inv(m[rank][col])
+        m[rank] = [f.raw_mul(inv, x) for x in m[rank]]
+        for r in range(d):
+            if r != rank and m[r][col]:
+                c = m[r][col]
+                m[r] = [f.raw_sub(x, f.raw_mul(c, y)) for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank, det if rank == d else 0
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, Q], ids=["F2", "F3", "F4", "Q"])
+def test_forward_elimination_matches_gauss_jordan(f):
+    rng = random.Random(31)
+    values = range(f.q) if f.is_finite else range(-3, 4)
+    ranks = set()
+    for _ in range(300):
+        d = rng.randrange(1, 6)
+        rows = [[rng.choice(values) for _ in range(d)] for _ in range(d)]
+        if d > 1 and rng.random() < 0.3:   # force a dependent row
+            rows[-1] = list(rows[0])
+        m = GroupElement.of(f, rows)
+        rank, det = gauss_jordan_rank_det(f, m.rows)
+        ranks.add(rank == d)
+        assert m.rank() == rank
+        assert m.det().rep == det
+        assert m.is_invertible == (rank == d)
+        if rank == d:
+            assert m * m.inverse() == GroupElement.identity(f, d)
+    assert ranks == {True, False}
+
+
+def test_is_isometry_rejects_a_singular_matrix():
+    s = SplitSpace.even(F3, 2)
+    m = GroupElement.of(F3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]])
+    assert m.rank() == 3
+    with pytest.raises(SingularMatrix):
+        is_isometry(s, m)
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, Q], ids=["F2", "F3", "F4", "Q"])
+def test_basis_form_values_are_the_form_on_the_basis(f):
+    for shape in SHAPES:
+        for n in (1, 2, 3):
+            s = SplitSpace(f, shape, n)
+            basis = [tuple(1 if i == j else 0 for i in range(s.dim)) for j in range(s.dim)]
+            q_vals, b_vals = _basis_form_values(shape, n)
+            assert list(q_vals) == [s.raw_q(e) for e in basis]
+            assert list(b_vals) == [((i, j), s.raw_b(basis[i], basis[j]))
+                                    for i in range(s.dim) for j in range(i + 1, s.dim)]
 
 
 def test_reflection_determinant_odd_characteristic():

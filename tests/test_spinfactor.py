@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from quadrics.fields import Field
-from quadrics.quadform import Vector
+from quadrics.quadform import SplitSpace, Vector
 from quadrics.action import GroupContext, enumerate_group
 from quadrics.spinfactor import SpinFactor, verify_projective_space
 
@@ -89,6 +90,47 @@ def test_projections_are_quadric_points(q, n):
     report = verify_projective_space(Field.of_order(q), n)
     assert report["pass"]
     assert report["idempotents"] == report["quadric_points"] == q ** (2 * n) + q ** n
+
+
+def projective_space_report_full_cube(field, n):
+    """verify_projective_space's report from a sweep of all q^{2n+2}
+    vectors, each predicate testing t(x) = 1 itself: the reference for the
+    sweep of the trace-one hyperplane."""
+    sf = SpinFactor(field, n)
+    space = sf.space
+    one = field.one.rep
+    idempotents = quadric_points = 0
+    agree = True
+    for raws in product(range(field.q), repeat=space.dim):
+        trace_one = space.raw_trace(raws) == one
+        is_idem = trace_one and sf.raw_jsquare(raws) == raws
+        is_point = trace_one and space.raw_q(raws) == 0
+        idempotents += is_idem
+        quadric_points += is_point
+        agree = agree and is_idem == is_point
+    return {"check": "spin_projective", "n": n, "field": str(field),
+            "idempotents": idempotents, "quadric_points": quadric_points,
+            "equal": agree, "pass": agree}
+
+
+@pytest.mark.parametrize("q,n", [("2", 1), ("3", 1), ("2^2", 1), ("2", 2), ("3", 2)])
+def test_hyperplane_sweep_matches_full_cube(q, n):
+    field = Field.parse(q)
+    assert verify_projective_space(field, n) == projective_space_report_full_cube(field, n)
+
+
+def test_projective_check_sweeps_only_the_trace_one_hyperplane(monkeypatch):
+    calls = 0
+    raw_trace = SplitSpace.raw_trace
+
+    def counted(self, raws):
+        nonlocal calls
+        calls += 1
+        return raw_trace(self, raws)
+
+    monkeypatch.setattr(SplitSpace, "raw_trace", counted)
+    assert verify_projective_space(F3, 1)["pass"]
+    assert calls <= 2 * 3 ** 3   # the full cube made 3^4 + 3^3 = 108
 
 
 def test_so_model_acts_by_jordan_automorphisms():
