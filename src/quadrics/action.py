@@ -10,20 +10,24 @@ The models, for the pointed even space of dimension 2n+2 over F:
 
 Reflections r_v with t(v) = 0 fix 1, so pairs of them are SO-model members
 and generate the whole SO-model.  The homogeneity check builds a stabilizer
-chain from a few such pairs (OrbitStabilizer, base x_0 and then the even
-basis vectors), whose first level is the orbit of x_0 and whose second is
-its stabilizer, and checks the orders against the classical formulas
+chain from a few such pairs by known-order random Schreier-Sims
+(OrbitStabilizer, base x_0 and then the even basis vectors), whose first
+level is the orbit of x_0 and whose lower levels hold its stabilizer, and
+checks the orders against the classical formulas
 
     |SO_{2n+1}(F_q)| = q^(n^2) * prod_{i=1..n} (q^(2i) - 1)
     |SO_{2n}(F_q)|   = q^(n(n-1)) * (q^n - 1) * prod_{i=1..n-1} (q^(2i) - 1)
 
 whose ratio is q^(2n) + q^n, the point count of the quadric.  No group is
-listed: (n, q) = (2, 4), (2, 5) and (3, 2) take about 0.2, 0.6 and 0.2 s
-in-process (2 cores, Python 3.11).  Direct column enumeration stays as the
-cross-check on small cells.
+listed: (n, q) = (2, 3) takes about 10 ms in-process, (2, 4), (2, 5) and
+(3, 2) about 35, 60 and 25 ms (2 cores, Python 3.11).  Direct column
+enumeration stays as the cross-check on small cells.
 """
 
+import random
 from itertools import chain, product
+from math import prod
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -330,83 +334,141 @@ def orbit(ctx, start=None, force=False):
 # -- orbit-stabilizer without listing the group -------------------------------
 
 class OrbitStabilizer:
-    """A stabilizer chain on raw row tuples (Schreier-Sims: Sims 1970;
-    Seress, Permutation Group Algorithms, 4.2 and 4.5).
+    """A stabilizer chain on raw row tuples for known-order random
+    Schreier-Sims (Seress, Permutation Group Algorithms, 4.3 and 4.5).
 
-    Each level holds the orbit of its base point b with a Schreier tree: for
-    each orbit point p, u_p, a product of generators with u_p b = p, and its
-    inverse.  The next level, on the rest of the base, is the stabilizer of
-    b: each Schreier generator u_{sp}^{-1} s u_p is sifted through it and
-    added to it if the sift fails (Schreier's lemma).  The order is the
-    product of the orbit lengths.  Past the last base point only the
-    identity is left: the base and 1 span the space, and the SO-model
-    fixes 1.
+    Each level holds the orbit of its base point b under the level's
+    generators, with a transversal u_p (u_p b = p) for each orbit point p.
+    A level's generators fix the base points above it, so the products of
+    one transversal element per level are distinct elements of the group
+    all generators generate: order() is at most its order.  Past the last
+    base point only the identity is left: the base and 1 span the space,
+    and the SO-model fixes 1.  An isometry's inverse is its adjoint G u^T G,
+    G the Gram permutation (partner[i] pairs with i): an index shuffle.
     """
 
-    def __init__(self, field, dim, base):
+    def __init__(self, field, base, partner):
         self._matmul, self._matvec = field.matmul, field.matvec
-        self._identity = GroupElement.identity(field, dim).rows
+        self._pick = itemgetter(*partner)
+        self._identity = GroupElement.identity(field, len(partner)).rows
         self.point = base[0] if base else None
-        self.tree = {self.point: (self._identity, self._identity)} if base else {}
+        self.tree = {self.point: self._identity} if base else {}
         self.generators = []
-        self.next = OrbitStabilizer(field, dim, base[1:]) if base else None
+        self.next = OrbitStabilizer(field, base[1:], partner) if base else None
+
+    def levels(self):
+        """This level and those below it that have a base point."""
+        level = self
+        while level.next is not None:
+            yield level
+            level = level.next
 
     def order(self):
-        """Order of the group generated so far."""
-        if self.next is None:
-            return 1
-        return len(self.tree) * self.next.order()
+        """Product of the orbit lengths."""
+        return prod(len(level.tree) for level in self.levels())
 
-    def contains(self, g):
-        """Whether g lies in the group generated so far: g b must be an orbit
-        point p, and u_p^{-1} g must lie in the next level."""
-        if self.next is None:
-            return g == self._identity
-        entry = self.tree.get(self._matvec(g, self.point))
-        return entry is not None and self.next.contains(self._matmul(entry[1], g))
+    def inverse(self, u):
+        """u^{-1} = G u^T G for an isometry u: (u^{-1})_ij = u_{partner j, partner i}."""
+        pick = self._pick
+        return tuple(map(pick, pick(tuple(zip(*u)))))
 
     def elements(self):
-        """Every element of the group generated so far, as u_p h for each
-        orbit point p and each element h of the next level."""
+        """Every product u_p h for an orbit point p and a product h of the
+        levels below: the generated group once the chain is complete."""
         if self.next is None:
             return [self._identity]
         matmul, below = self._matmul, self.next.elements()
-        return [matmul(u, h) for u, _ in self.tree.values() for h in below]
+        return [matmul(u, h) for u in self.tree.values() for h in below]
 
-    def add_generator(self, g, g_inv):
-        """Extend the tree by g, BFS from every point (new points under every
-        generator), and sift each Schreier generator h into the next level,
-        adding it there with h^{-1} = u_p^{-1} s^{-1} u_{sp} if it is new."""
-        matmul, matvec, tree, below = self._matmul, self._matvec, self.tree, self.next
-        self.generators.append((g, g_inv))
-        work = [(p, [(g, g_inv)]) for p in tree]
-        for p, gens in work:   # grows while it is walked: the BFS queue
-            u, u_inv = tree[p]
-            for s, s_inv in gens:
+    def sift(self, g):
+        """Walk g down the chain, going on with u_p^{-1} g where g b = p.
+        Returns the first level whose orbit misses g b, with the residue
+        there, or (None, residue) if g sifts through (for an SO-model
+        element the residue then fixes the base and 1: the identity)."""
+        matmul, matvec, inverse = self._matmul, self._matvec, self.inverse
+        for level in self.levels():
+            p = matvec(g, level.point)
+            if p != level.point:
+                u = level.tree.get(p)
+                if u is None:
+                    return level, g
+                g = matmul(inverse(u), g)
+        return None, g
+
+    def add_generator(self, g):
+        """Add g, which fixes the base points above, and extend the orbit."""
+        self.generators.append(g)
+        self._grow((g,), self.generators)
+
+    def _grow(self, new, gens):
+        """BFS: the maps `new` on the points already in the orbit, every map
+        of `gens` on the points that turn up."""
+        matmul, matvec, tree = self._matmul, self._matvec, self.tree
+        work = [(p, new) for p in tree]
+        for p, maps in work:   # grows while it is walked: the BFS queue
+            for s in maps:
                 image = matvec(s, p)
-                su = matmul(s, u)
-                known = tree.get(image)
-                if known is None:
-                    tree[image] = (su, matmul(u_inv, s_inv))
-                    work.append((image, self.generators))
-                    continue
-                if su == known[0]:   # the Schreier generator is the identity
-                    continue
-                h = matmul(known[1], su)
-                if not below.contains(h):
-                    below.add_generator(h, matmul(matmul(u_inv, s_inv), known[0]))
+                if image not in tree:
+                    tree[image] = matmul(s, tree[p])
+                    work.append((image, gens))
+
+    def complete(self):
+        """Deterministic Schreier-Sims (Seress 4.2), lowest level first:
+        close the orbit under the generators of this level and those below,
+        and sift each Schreier generator u_{sp}^{-1} s u_p below it; a
+        residue is added where its sift stopped, and the pass resumes there.
+        Afterwards order() is the order of the generated group."""
+        matmul, matvec, inverse = self._matmul, self._matvec, self.inverse
+        levels = list(self.levels())
+        k = len(levels) - 1
+        while k >= 0:
+            level = levels[k]
+            gens = [g for lower in levels[k:] for g in lower.generators]
+            level._grow(gens, gens)
+            tree = level.tree
+            sifts = (level.next.sift(matmul(inverse(tree[matvec(s, p)]), matmul(s, u)))
+                     for p, u in tree.items() for s in gens)
+            stop, residue = next((hit for hit in sifts if hit[0] is not None), (None, None))
+            if stop is None:
+                k -= 1
+            else:
+                stop.add_generator(residue)
+                k = levels.index(stop)
+
+
+# Random sifts that must pass in a row before the next reflection pair is
+# drawn; a fixed seed, so identical configurations do identical work.
+SIFT_PATIENCE = 2
+SIFT_SEED = 20210
+
+
+def _product_replacement(rng, matmul, pool):
+    """Product replacement with an accumulator (Celler et al. 1995): each
+    step sets x_i = x_i x_j for random pool elements and yields the
+    accumulator times x_i.  The pool may grow between steps."""
+    acc = None
+    while True:
+        i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
+        if i != j:
+            pool[i] = matmul(pool[i], pool[j])
+        acc = pool[i] if acc is None else matmul(acc, pool[i])
+        yield acc
 
 
 def so_orbit_stabilizer(ctx, force=False):
     """The SO-model as a stabilizer chain with base x_0, then e_j for the
     even slots j, without listing the group: the first level holds the orbit
-    of x_0 and the next level is its stabilizer.  The generators are
-    reflection pairs r_a r_v on trace-0 vectors: the structured ones, in odd
-    characteristic one of non-square norm (reflections whose norms are all
-    squares generate a proper subgroup), then the trace-0 sweep, drawn one
-    at a time while the chain's order is below |SO_{2n+1}(F_q)|.  A pair
-    already in the generated group is skipped.  Returns the first level of
-    the chain and the pair generators as GroupElements."""
+    of x_0, and the levels below it hold its stabilizer.
+
+    Reflection pairs r_a r_v on trace-0 vectors are sifted in turn: the
+    structured ones, in odd characteristic one of non-square norm
+    (reflections whose norms are all squares generate a proper subgroup),
+    then the sweep.  A pair that does not sift through is kept, its residue
+    added, and random products of the kept pairs are sifted until
+    SIFT_PATIENCE pass in a row.  All stops once the order is
+    |SO_{2n+1}(F_q)|, which bounds that of the generated group: equality
+    proves the chain complete.  If the sweep runs out first, complete()
+    makes the order exact.  Returns the chain and the kept pairs."""
     f, n = ctx.field, ctx.n
     if not f.is_finite:
         raise TooLarge("orbit-stabilizer needs a finite field")
@@ -420,19 +482,34 @@ def so_orbit_stabilizer(ctx, force=False):
         extra = (tuple(1 if i == 0 else c if i == n + 1 else 0 for i in range(ctx.dim)),)
     expected = group_order("odd", n, f.q)
     base = [ctx.x0.raws] + [ctx.space.basis_vector(j).raws for j in ctx.even_slots]
-    found = OrbitStabilizer(f, ctx.dim, base)
+    found = OrbitStabilizer(f, base, ctx.space.raw_polar(tuple(range(ctx.dim))))
+    pool = []
+    randoms = _product_replacement(random.Random(SIFT_SEED), f.matmul, pool)
     anchor, gens = None, []
     for raws in _trace_zero_sweep(ctx, extra):
-        if found.order() >= expected:
+        if found.order() == expected:
             break
         r = reflection_matrix(ctx.space, Vector(f, raws))
         if anchor is None:
             anchor = r
             continue
         g = anchor * r
-        if not found.contains(g.rows):
-            gens.append(g)
-            found.add_generator(g.rows, (r * anchor).rows)
+        level, residue = found.sift(g.rows)
+        if level is None:
+            continue
+        gens.append(g)
+        pool.append(g.rows)
+        level.add_generator(residue)
+        passes = 0
+        while passes < SIFT_PATIENCE and found.order() < expected:
+            level, residue = found.sift(next(randoms))
+            if level is None:
+                passes += 1
+            else:
+                level.add_generator(residue)
+                passes = 0
+    if found.order() < expected:
+        found.complete()
     return found, gens
 
 
@@ -468,14 +545,17 @@ def verify_homogeneous(field, n, force=False):
           the SO-model, so the generated group is the whole SO-model,
       (d) stabilizer(x_0) = extend_even(SO_{2n}(F_q)) as sets.
 
-    Orbit and stabilizer are the first two levels of so_orbit_stabilizer's
-    chain; no group is listed.  For (d), each generator h of the stabilizer
-    level satisfies h = extend_even(restrict_even(h)), with its restriction
-    an even-space isometry of Dickson invariant 0, so the stabilizer lies in
-    extend_even(SO_{2n}); extend_even is injective, so equal orders make the
-    two equal.  The quadric's guard and the stabilizer's guard fire before
-    any enumeration starts.  The cells (2,4), (2,5) and (3,2) run without
-    force, in about 0.2, 0.6 and 0.2 s in-process.
+    The orbit is the first level of so_orbit_stabilizer's chain and the
+    stabilizer the levels below it, generated by their generators once the
+    chain's order is |SO_{2n+1}(F_q)|; no group is listed.  For (d), each
+    of those generators satisfies h = extend_even(restrict_even(h)), with
+    its restriction an even-space isometry of Dickson invariant 0, so the
+    stabilizer lies in extend_even(SO_{2n}); extend_even is injective, so
+    equal orders make the two equal.  The quadric's guard and the
+    stabilizer's guard fire before any enumeration starts.  The cells (2,4),
+    (2,5) and (3,2) run without force, in about 35, 60 and 25 ms
+    in-process; with force, (3,3), (2,7) and (4,2) take about 0.15, 0.2 and
+    0.15 s.
     """
     ctx = GroupContext(field, n)
     points = _quadric_raws(ctx.space, force=force)   # its guard fires here
@@ -496,7 +576,8 @@ def verify_homogeneous(field, n, force=False):
         "stabilizer_order": stab_size == even_order,
         "orbit_stabilizer_product": (all(in_so_odd(ctx, g) for g in gens)
                                      and group_size == odd_order),
-        "stabilizer_is_extended_even": (all(in_extended_even_so(h) for h, _ in stab.generators)
+        "stabilizer_is_extended_even": (all(in_extended_even_so(h) for level in stab.levels()
+                                            for h in level.generators)
                                         and stab_size == even_order),
     }
     witnesses = []
@@ -542,21 +623,25 @@ def verify_similitude_orbit(field, n, force=False):
     if not force and f.q ** d > VECTOR_GUARD:
         raise TooLarge(f"{f.q}^{d} vectors exceeds the sweep guard")
 
-    nonzero_norm = []
+    # q is evaluated once per vector: the expected set reads the norm from
+    # the sweep (in characteristic 2 every nonzero norm is a square), and the
+    # direction raws / lead has norm q(raws) / lead^2
+    mul, inv = f.raw_mul, f.raw_inv
+    squares = {mul(c, c) for c in range(1, f.q)}
+    nonzero_norm = 0
+    expected = set()
     directions = {}   # normalized direction -> 1/q, in sweep order
     for raws in product(range(f.q), repeat=d):
         qa = space.raw_q(raws)
         if not qa:
             continue
-        nonzero_norm.append(raws)
+        nonzero_norm += 1
+        if qa in squares:
+            expected.add(raws)
         key = _normalize_raws(f, raws)
         if key not in directions:
-            directions[key] = f.raw_inv(space.raw_q(key))
-    if f.characteristic == 2:
-        expected = set(nonzero_norm)
-    else:
-        squares = {f.raw_mul(c, c) for c in range(1, f.q)}
-        expected = {raws for raws in nonzero_norm if space.raw_q(raws) in squares}
+            lead = next(a for a in raws if a)
+            directions[key] = mul(mul(lead, lead), inv(qa))
 
     seen = {space.one_vector().raws}
     maps = []
@@ -575,7 +660,6 @@ def verify_similitude_orbit(field, n, force=False):
                         return
                     work.append((y, maps))
 
-    mul = f.raw_mul
     for c in range(2, f.q):
         add(lambda w, c=c: tuple(mul(c, x) for x in w))
     (a, inv_a), *rest = directions.items()   # r_a r_a is the identity
@@ -590,7 +674,7 @@ def verify_similitude_orbit(field, n, force=False):
         "n": n,
         "field": str(field),
         "orbit_size": len(seen),
-        "nonzero_norm_vectors": len(nonzero_norm),
+        "nonzero_norm_vectors": nonzero_norm,
         "expected_orbit_size": len(expected),
         "pass": seen == expected,
     }

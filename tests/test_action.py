@@ -7,6 +7,7 @@ from quadrics.fields import Field
 from quadrics.quadform import (
     GroupElement,
     SplitSpace,
+    Vector,
     dickson,
     raw_reflect,
     reflection_matrix,
@@ -14,8 +15,10 @@ from quadrics.quadform import (
 from quadrics.quadric import base_point, count_closed_form, enumerate_quadric
 from quadrics.action import (
     GroupContext,
+    OrbitStabilizer,
     _closure,
     _normalize_raws,
+    _trace_zero_sweep,
     act,
     enumerate_group,
     enumerate_isometries,
@@ -287,10 +290,6 @@ def test_schreier_stabilizer_matches_direct_enumeration(field, n):
     assert {p.w.raws for p in orbit(c)} == set(found.tree)
     assert found.order() == len(members) == group_order("odd", n, field.q)
     assert all(in_so_odd(c, g) for g in gens)
-    for p, (u, u_inv) in found.tree.items():
-        assert GroupElement(field, u).apply(c.x0).raws == p
-        assert GroupElement(field, u) * GroupElement(field, u_inv) == \
-            GroupElement.identity(field, c.dim)
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (4, 1), (5, 1), (7, 1), (8, 1), (9, 1),
@@ -325,6 +324,134 @@ def test_orbit_stabilizer_guard():
     # |SO_6(F_4)| = 4^6 (4^3 - 1)(4^2 - 1)(4^4 - 1) is past the closure guard
     with pytest.raises(TooLarge):
         so_orbit_stabilizer(GroupContext(F4, 3))
+
+
+SMALL_GRID = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8), (1, 9), (2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("n,q", SMALL_GRID)
+def test_chain_transversals_and_inverses(n, q):
+    field = Field.of_order(q)
+    c = GroupContext(field, n)
+    found, gens = so_orbit_stabilizer(c)
+    identity = GroupElement.identity(field, c.dim).rows
+    above = []
+    for level in found.levels():
+        for p, u in level.tree.items():
+            assert field.matvec(u, level.point) == p
+            assert field.matmul(u, found.inverse(u)) == identity
+            assert all(field.matvec(u, b) == b for b in above)
+        for g in level.generators:
+            assert all(field.matvec(g, b) == b for b in above)
+        above.append(level.point)
+    # identical configurations do identical work
+    again, gens_again = so_orbit_stabilizer(GroupContext(field, n))
+    assert gens_again == gens
+    assert [lv.generators for lv in again.levels()] == [lv.generators for lv in found.levels()]
+
+
+def test_chain_makes_few_products(monkeypatch):
+    """Sifting a few random products, not every Schreier generator: (2,3)
+    took 2,990 matmul calls when every Schreier generator was sifted."""
+    field = Field.prime(3)
+    calls = 0
+    matmul = field.matmul
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(field, "matmul", counted)
+    found, _ = so_orbit_stabilizer(GroupContext(field, 2))
+    assert found.order() == group_order("odd", 2, 3)
+    assert calls < 2_990 / 4
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["1-3", "1-5"])
+def test_chain_order_is_exact_when_the_sweep_runs_out(monkeypatch, field):
+    """Reflections of square norm only generate a proper subgroup; once the
+    sweep runs out, the chain is completed and its order is that subgroup's."""
+    import quadrics.action as action
+
+    sweep = action._trace_zero_sweep
+
+    def square_norms_only(ctx, extra=()):
+        return (v for v in sweep(ctx, extra)
+                if field.raw_sqrt(ctx.space.raw_q(v)) is not None)
+
+    completed = []
+    complete = action.OrbitStabilizer.complete
+    monkeypatch.setattr(action, "_trace_zero_sweep", square_norms_only)
+    monkeypatch.setattr(action.OrbitStabilizer, "complete",
+                        lambda self: completed.append(self) or complete(self))
+    c = GroupContext(field, 1)
+    vectors = [Vector(field, v) for v in square_norms_only(c)]
+    pairs = [reflection_matrix(c.space, vectors[0]) * reflection_matrix(c.space, v)
+             for v in vectors[1:]]
+    subgroup = _closure([GroupElement.identity(field, c.dim)],
+                        lambda m: (m * g for g in pairs))
+    assert len(subgroup) < group_order("odd", 1, field.q)
+    found, _ = so_orbit_stabilizer(c)
+    assert completed == [found]
+    assert found.order() == len(subgroup)
+    assert {GroupElement(field, rows) for rows in found.elements()} == set(subgroup)
+    report = verify_homogeneous(field, 1)
+    assert report["group_size"] == len(subgroup)
+    assert report["orbit_size"] * report["stab_size"] == len(subgroup)
+    assert not report["pass"]
+
+
+@pytest.mark.parametrize("n,q,picks", [(1, 4, (0, 5, 9)), (1, 5, (0, 7, 13)),
+                                       (1, 7, (0, 9, 20)), (2, 2, (0, 6, 11)),
+                                       (2, 3, (0, 10, 25))])
+def test_complete_reaches_the_generated_order(n, q, picks):
+    """Two pairs sifted once give a lower bound; complete() makes the order
+    that of the group they generate, listed by a BFS over matrices."""
+    field = Field.of_order(q)
+    c = GroupContext(field, n)
+    sweep = list(_trace_zero_sweep(c))
+    a, *vs = [reflection_matrix(c.space, Vector(field, sweep[i])) for i in picks]
+    pairs = [a * r for r in vs]
+    base = [c.x0.raws] + [c.space.basis_vector(j).raws for j in c.even_slots]
+    found = OrbitStabilizer(field, base, c.space.raw_polar(tuple(range(c.dim))))
+    for g in pairs:
+        level, residue = found.sift(g.rows)
+        if level is not None:
+            level.add_generator(residue)
+    group = _closure([GroupElement.identity(field, c.dim)], lambda m: (m * g for g in pairs))
+    assert found.order() < len(group)
+    found.complete()
+    assert found.order() == len(group)
+    assert {GroupElement(field, rows) for rows in found.elements()} == set(group)
+    assert all(found.sift(m.rows)[0] is None for m in group)
+
+
+def test_check_d_reads_every_level_below_the_orbit(monkeypatch):
+    import quadrics.action as action
+
+    chain = action.so_orbit_stabilizer
+
+    def injected(ctx, force=False):
+        found, gens = chain(ctx, force=force)
+        # the generators of the orbit level move x_0: not extended even
+        found.next.next.generators.append(found.generators[0])
+        return found, gens
+
+    assert verify_homogeneous(F5, 1)["checks"]["stabilizer_is_extended_even"]
+    monkeypatch.setattr(action, "so_orbit_stabilizer", injected)
+    report = verify_homogeneous(F5, 1)
+    assert not report["checks"]["stabilizer_is_extended_even"]
+    assert not report["pass"]
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 7), (4, 2)])
+def test_forced_cells_past_the_guard(n, q):
+    report = verify_homogeneous(Field.of_order(q), n, force=True)
+    assert report["pass"]
+    assert report["orbit_size"] == count_closed_form(n, q)
+    assert report["stab_size"] == group_order("even_split", n, q)
+    assert report["group_size"] == group_order("odd", n, q)
 
 
 # -- orders ------------------------------------------------------------------------
@@ -429,3 +556,19 @@ def test_similitude_orbit_stops_once_complete(monkeypatch, field, before):
     report = verify_similitude_orbit(field, 1)
     assert report["pass"]
     assert calls < before / 4
+
+
+@pytest.mark.parametrize("field,n", [(F3, 1), (F4, 1), (Field.of_order(9), 1), (F3, 2)],
+                         ids=["1-3", "1-4", "1-9", "2-3"])
+def test_similitude_orbit_evaluates_q_once_per_vector(monkeypatch, field, n):
+    calls = 0
+    raw_q = SplitSpace.raw_q
+
+    def counted(self, raws):
+        nonlocal calls
+        calls += 1
+        return raw_q(self, raws)
+
+    monkeypatch.setattr(SplitSpace, "raw_q", counted)
+    assert verify_similitude_orbit(field, n)["pass"]
+    assert calls == field.q ** (2 * n + 2)
