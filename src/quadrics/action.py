@@ -10,18 +10,18 @@ The models, for the pointed even space of dimension 2n+2 over F:
 
 Reflections r_v with t(v) = 0 fix 1, so pairs of them are SO-model members
 and generate the whole SO-model.  The homogeneity check builds a stabilizer
-chain from a few such pairs by known-order random Schreier-Sims
-(OrbitStabilizer, base x_0 and then the even basis vectors), whose first
-level is the orbit of x_0 and whose lower levels hold its stabilizer, and
-checks the orders against the classical formulas
+chain of Schreier vectors from a few such pairs by known-order random
+Schreier-Sims (OrbitStabilizer, base x_0 and then the even basis vectors),
+whose first level is the orbit of x_0 and whose lower levels hold its
+stabilizer, and checks the orders against the classical formulas
 
     |SO_{2n+1}(F_q)| = q^(n^2) * prod_{i=1..n} (q^(2i) - 1)
     |SO_{2n}(F_q)|   = q^(n(n-1)) * (q^n - 1) * prod_{i=1..n-1} (q^(2i) - 1)
 
 whose ratio is q^(2n) + q^n, the point count of the quadric.  No group is
-listed: (n, q) = (2, 3) takes about 10 ms in-process, (2, 4), (2, 5) and
-(3, 2) about 35, 60 and 25 ms (2 cores, Python 3.11).  Direct column
-enumeration stays as the cross-check on small cells.
+listed: (n, q) = (2, 3) takes about 6 ms in-process (2 cores, Python 3.11).
+Every orbit here, the chain's, orbit()'s and the similitude orbit of 1, is
+grown by one routine, grow_orbit.  Column enumeration is the cross-check.
 """
 
 import random
@@ -173,16 +173,20 @@ def reflection_generators(ctx, force=False):
             for v in trace_zero_reflection_vectors(ctx, force=force)]
 
 
-def _closure(seed, images):
-    """Everything reachable from seed, where images(x) yields the images of
-    x, in BFS discovery order."""
-    found = list(dict.fromkeys(seed))
-    seen = set(found)
-    for x in found:   # grows while it is walked: the BFS queue
-        for y in images(x):
-            if y not in seen:
-                seen.add(y)
-                found.append(y)
+def grow_orbit(found, new, maps, apply, stop=None):
+    """Extend found, a Schreier vector point -> (map, parent) with seeds
+    -> (None, None), breadth-first: each map of `new` on the points already
+    in it, every map of `maps` on those that turn up, y = apply(map, x)
+    stored as y -> (map, x).  Returns found, early once len(found) == stop."""
+    work = [(x, new) for x in found]
+    for x, ms in work:   # grows while it is walked: the BFS queue
+        for s in ms:
+            y = apply(s, x)
+            if y not in found:
+                found[y] = (s, x)
+                if len(found) == stop:
+                    return found
+                work.append((y, maps))
     return found
 
 
@@ -323,12 +327,11 @@ def orbit(ctx, start=None, force=False):
             for v in trace_zero_reflection_vectors(ctx, force=force)]
     a, inv_a = gens[0]
 
-    def images(w):
-        for v, inv_q in gens:
-            yield raw_reflect(space, a, inv_a, raw_reflect(space, v, inv_q, w))
+    def pair(g, w):   # r_a r_v w for g = (v, 1/q(v))
+        return raw_reflect(space, a, inv_a, raw_reflect(space, *g, w))
 
-    return [AmbientQuadricPoint(space, Vector(f, w))
-            for w in _closure([start.w.raws], images)]
+    found = grow_orbit({start.w.raws: (None, None)}, gens, gens, pair)
+    return [AmbientQuadricPoint(space, Vector(f, w)) for w in found]
 
 
 # -- orbit-stabilizer without listing the group -------------------------------
@@ -338,7 +341,9 @@ class OrbitStabilizer:
     Schreier-Sims (Seress, Permutation Group Algorithms, 4.3 and 4.5).
 
     Each level holds the orbit of its base point b under the level's
-    generators, with a transversal u_p (u_p b = p) for each orbit point p.
+    generators as a Schreier vector, tree: p -> (s, p') with p = s p'.  The
+    transversal u_p (u_p b = p) is formed from it, and kept, only when a
+    sift, complete() or elements() reaches p.
     A level's generators fix the base points above it, so the products of
     one transversal element per level are distinct elements of the group
     all generators generate: order() is at most its order.  Past the last
@@ -352,7 +357,8 @@ class OrbitStabilizer:
         self._pick = itemgetter(*partner)
         self._identity = GroupElement.identity(field, len(partner)).rows
         self.point = base[0] if base else None
-        self.tree = {self.point: self._identity} if base else {}
+        self.tree = {self.point: (None, None)} if base else {}
+        self._transversal = {self.point: self._identity}
         self.generators = []
         self.next = OrbitStabilizer(field, base[1:], partner) if base else None
 
@@ -372,13 +378,21 @@ class OrbitStabilizer:
         pick = self._pick
         return tuple(map(pick, pick(tuple(zip(*u)))))
 
+    def transversal(self, p):
+        """u_p = s u_{p'} for p -> (s, p') in the tree, formed on first use."""
+        u = self._transversal.get(p)
+        if u is None:
+            s, parent = self.tree[p]
+            u = self._transversal[p] = self._matmul(s, self.transversal(parent))
+        return u
+
     def elements(self):
         """Every product u_p h for an orbit point p and a product h of the
         levels below: the generated group once the chain is complete."""
         if self.next is None:
             return [self._identity]
         matmul, below = self._matmul, self.next.elements()
-        return [matmul(u, h) for u in self.tree.values() for h in below]
+        return [matmul(self.transversal(p), h) for p in self.tree for h in below]
 
     def sift(self, g):
         """Walk g down the chain, going on with u_p^{-1} g where g b = p.
@@ -389,28 +403,15 @@ class OrbitStabilizer:
         for level in self.levels():
             p = matvec(g, level.point)
             if p != level.point:
-                u = level.tree.get(p)
-                if u is None:
+                if p not in level.tree:
                     return level, g
-                g = matmul(inverse(u), g)
+                g = matmul(inverse(level.transversal(p)), g)
         return None, g
 
     def add_generator(self, g):
         """Add g, which fixes the base points above, and extend the orbit."""
         self.generators.append(g)
-        self._grow((g,), self.generators)
-
-    def _grow(self, new, gens):
-        """BFS: the maps `new` on the points already in the orbit, every map
-        of `gens` on the points that turn up."""
-        matmul, matvec, tree = self._matmul, self._matvec, self.tree
-        work = [(p, new) for p in tree]
-        for p, maps in work:   # grows while it is walked: the BFS queue
-            for s in maps:
-                image = matvec(s, p)
-                if image not in tree:
-                    tree[image] = matmul(s, tree[p])
-                    work.append((image, gens))
+        grow_orbit(self.tree, (g,), self.generators, self._matvec)
 
     def complete(self):
         """Deterministic Schreier-Sims (Seress 4.2), lowest level first:
@@ -424,10 +425,10 @@ class OrbitStabilizer:
         while k >= 0:
             level = levels[k]
             gens = [g for lower in levels[k:] for g in lower.generators]
-            level._grow(gens, gens)
-            tree = level.tree
-            sifts = (level.next.sift(matmul(inverse(tree[matvec(s, p)]), matmul(s, u)))
-                     for p, u in tree.items() for s in gens)
+            grow_orbit(level.tree, gens, gens, matvec)
+            u = level.transversal
+            sifts = (level.next.sift(matmul(inverse(u(matvec(s, p))), matmul(s, u(p))))
+                     for p in level.tree for s in gens)
             stop, residue = next((hit for hit in sifts if hit[0] is not None), (None, None))
             if stop is None:
                 k -= 1
@@ -552,10 +553,9 @@ def verify_homogeneous(field, n, force=False):
     its restriction an even-space isometry of Dickson invariant 0, so the
     stabilizer lies in extend_even(SO_{2n}); extend_even is injective, so
     equal orders make the two equal.  The quadric's guard and the
-    stabilizer's guard fire before any enumeration starts.  The cells (2,4),
-    (2,5) and (3,2) run without force, in about 35, 60 and 25 ms
-    in-process; with force, (3,3), (2,7) and (4,2) take about 0.15, 0.2 and
-    0.15 s.
+    stabilizer's guard fire before any enumeration starts.  The chain forms
+    transversals only where sifts land: (2,5) takes 137 matrix products and
+    about 20 ms in-process, forced (3,3) and (2,9) about 0.08 and 0.3 s.
     """
     ctx = GroupContext(field, n)
     points = _quadric_raws(ctx.space, force=force)   # its guard fires here
@@ -605,9 +605,9 @@ def verify_similitude_orbit(field, n, force=False):
     """Orbit of the vector 1 under the group generated by scalar matrices and
     reflection pairs, inside {q != 0}.  In characteristic 2 the orbit is all
     of {q != 0}; in odd characteristic it is exactly the vectors whose norm
-    is a nonzero square.  The orbit is grown from the scalars, then from one
-    reflection pair r_a r_v at a time, until it reaches the expected size or
-    the pairs run out.  a is the first direction in sweep order; the other
+    is a nonzero square.  grow_orbit grows it from the scalars, then from
+    one reflection pair r_a r_v at a time, until it reaches the expected size
+    or the pairs run out.  a is the first direction in sweep order; the other
     directions follow in sweep order, those with v_1 != 0 first, since
     a_1 = 0 and a pair of directions with v_1 = 0 fixes e_{n+2}.
 
@@ -643,32 +643,21 @@ def verify_similitude_orbit(field, n, force=False):
             lead = next(a for a in raws if a)
             directions[key] = mul(mul(lead, lead), inv(qa))
 
-    seen = {space.one_vector().raws}
-    maps = []
-
-    def add(g):
-        """Close seen under one more map: g on the points already there,
-        every map on the points that turn up; stop once seen is complete."""
-        maps.append(g)
-        work = [(w, (g,)) for w in seen]
-        for w, gs in work:   # grows while it is walked: the BFS queue
-            for h in gs:
-                y = h(w)
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) == len(expected):
-                        return
-                    work.append((y, maps))
-
-    for c in range(2, f.q):
-        add(lambda w, c=c: tuple(mul(c, x) for x in w))
     (a, inv_a), *rest = directions.items()   # r_a r_a is the identity
     rest.sort(key=lambda item: not item[0][0])   # stable: v_1 != 0 first
-    for v, inv_q in rest:
-        if len(seen) >= len(expected):
+
+    def image(g, w):   # w times the scalar g, or r_a r_v w for g = (v, 1/q(v))
+        if isinstance(g, int):
+            return tuple(mul(g, x) for x in w)
+        return raw_reflect(space, a, inv_a, raw_reflect(space, *g, w))
+
+    seen = {space.one_vector().raws: (None, None)}
+    maps = []
+    for g in chain(range(2, f.q), rest):
+        if len(seen) == len(expected):
             break
-        add(lambda w, v=v, inv_q=inv_q:
-            raw_reflect(space, a, inv_a, raw_reflect(space, v, inv_q, w)))
+        maps.append(g)
+        grow_orbit(seen, (g,), maps, image, stop=len(expected))
     report = {
         "check": "similitude",
         "n": n,
@@ -676,6 +665,6 @@ def verify_similitude_orbit(field, n, force=False):
         "orbit_size": len(seen),
         "nonzero_norm_vectors": nonzero_norm,
         "expected_orbit_size": len(expected),
-        "pass": seen == expected,
+        "pass": seen.keys() == expected,
     }
     return report

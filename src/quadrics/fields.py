@@ -396,7 +396,7 @@ class Field:
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.key == other.key
+        return self is other or isinstance(other, Field) and self.key == other.key
 
     def __hash__(self):
         return self._hash

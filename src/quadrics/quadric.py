@@ -83,6 +83,15 @@ class AmbientQuadricPoint:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "space", space)
 
+    @classmethod
+    def _checked(cls, space, w):
+        """The point w, already checked to lie on space's quadric."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "n", space.n)
+        object.__setattr__(point, "w", w)
+        object.__setattr__(point, "space", space)
+        return point
+
     def __setattr__(self, name, value):
         raise AttributeError("AmbientQuadricPoint is immutable")
 
@@ -137,10 +146,9 @@ def base_point(space):
 
 def enumerate_quadric(space, force=False):
     """All points over a finite field, in deterministic order, as points on
-    the given space."""
-    f = space.field
-    return [AmbientQuadricPoint(space, Vector(f, w))
-            for w in _quadric_raws(space, force=force)]
+    the given space; _quadric_raws has checked each one."""
+    f, point = space.field, AmbientQuadricPoint._checked
+    return [point(space, Vector(f, w)) for w in _quadric_raws(space, force=force)]
 
 
 def _quadric_raws(space, force=False):

@@ -16,7 +16,6 @@ from quadrics.quadric import base_point, count_closed_form, enumerate_quadric
 from quadrics.action import (
     GroupContext,
     OrbitStabilizer,
-    _closure,
     _normalize_raws,
     _trace_zero_sweep,
     act,
@@ -49,6 +48,20 @@ def ctx2():
 
 def ctx3():
     return GroupContext(F3, 1)
+
+
+def reachable(seed, maps, apply):
+    """Everything reachable from seed under maps, by a plain worklist: the
+    reference the chain and the similitude orbit are checked against."""
+    found, todo = {seed}, [seed]
+    while todo:
+        x = todo.pop()
+        for s in maps:
+            y = apply(s, x)
+            if y not in found:
+                found.add(y)
+                todo.append(y)
+    return found
 
 
 # -- membership ---------------------------------------------------------------
@@ -337,7 +350,8 @@ def test_chain_transversals_and_inverses(n, q):
     identity = GroupElement.identity(field, c.dim).rows
     above = []
     for level in found.levels():
-        for p, u in level.tree.items():
+        for p in level.tree:
+            u = level.transversal(p)
             assert field.matvec(u, level.point) == p
             assert field.matmul(u, found.inverse(u)) == identity
             assert all(field.matvec(u, b) == b for b in above)
@@ -350,10 +364,9 @@ def test_chain_transversals_and_inverses(n, q):
     assert [lv.generators for lv in again.levels()] == [lv.generators for lv in found.levels()]
 
 
-def test_chain_makes_few_products(monkeypatch):
-    """Sifting a few random products, not every Schreier generator: (2,3)
-    took 2,990 matmul calls when every Schreier generator was sifted."""
-    field = Field.prime(3)
+def chain_with_matmuls(monkeypatch, n, q):
+    """so_orbit_stabilizer's chain at (n, q) and its number of matmul calls."""
+    field = Field.prime(q)
     calls = 0
     matmul = field.matmul
 
@@ -363,9 +376,24 @@ def test_chain_makes_few_products(monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(field, "matmul", counted)
-    found, _ = so_orbit_stabilizer(GroupContext(field, 2))
-    assert found.order() == group_order("odd", 2, 3)
+    found, _ = so_orbit_stabilizer(GroupContext(field, n))
+    assert found.order() == group_order("odd", n, q)
+    return found, calls
+
+
+def test_chain_makes_few_products(monkeypatch):
+    """Sifting a few random products, not every Schreier generator: (2,3)
+    took 2,990 matmul calls when every Schreier generator was sifted."""
+    _, calls = chain_with_matmuls(monkeypatch, 2, 3)
     assert calls < 2_990 / 4
+
+
+def test_chain_forms_transversals_on_demand(monkeypatch):
+    """The chain keeps a Schreier vector and forms u_p only where a sift
+    lands: (2,5) took 905 matmul calls with one transversal per orbit point."""
+    found, calls = chain_with_matmuls(monkeypatch, 2, 5)
+    assert calls < 300
+    assert len(found._transversal) < len(found.tree) == count_closed_form(2, 5)
 
 
 @pytest.mark.parametrize("field", [F3, F5], ids=["1-3", "1-5"])
@@ -389,8 +417,7 @@ def test_chain_order_is_exact_when_the_sweep_runs_out(monkeypatch, field):
     vectors = [Vector(field, v) for v in square_norms_only(c)]
     pairs = [reflection_matrix(c.space, vectors[0]) * reflection_matrix(c.space, v)
              for v in vectors[1:]]
-    subgroup = _closure([GroupElement.identity(field, c.dim)],
-                        lambda m: (m * g for g in pairs))
+    subgroup = reachable(GroupElement.identity(field, c.dim), pairs, lambda g, m: m * g)
     assert len(subgroup) < group_order("odd", 1, field.q)
     found, _ = so_orbit_stabilizer(c)
     assert completed == [found]
@@ -419,7 +446,7 @@ def test_complete_reaches_the_generated_order(n, q, picks):
         level, residue = found.sift(g.rows)
         if level is not None:
             level.add_generator(residue)
-    group = _closure([GroupElement.identity(field, c.dim)], lambda m: (m * g for g in pairs))
+    group = reachable(GroupElement.identity(field, c.dim), pairs, lambda g, m: m * g)
     assert found.order() < len(group)
     found.complete()
     assert found.order() == len(group)
@@ -512,13 +539,13 @@ def similitude_report_all_directions(field, n):
     a, inv_a = pairs[0]
     mul = field.raw_mul
 
-    def images(w):
-        for c in range(2, field.q):
-            yield tuple(mul(c, x) for x in w)
-        for v, inv_q in pairs:
-            yield raw_reflect(space, a, inv_a, raw_reflect(space, v, inv_q, w))
+    def image(g, w):
+        if isinstance(g, int):
+            return tuple(mul(g, x) for x in w)
+        v, inv_q = g
+        return raw_reflect(space, a, inv_a, raw_reflect(space, v, inv_q, w))
 
-    seen = set(_closure([space.one_vector().raws], images))
+    seen = reachable(space.one_vector().raws, list(range(2, field.q)) + pairs, image)
     squares = {mul(c, c) for c in range(1, field.q)}
     expected = {w for w in nonzero_norm
                 if field.characteristic == 2 or space.raw_q(w) in squares}

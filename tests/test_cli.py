@@ -258,7 +258,12 @@ def test_extension_point_accepts_powers_and_signs(capsys, point, same_as):
 
 
 def test_determinism(capsys):
+    # the chain, the similitude orbit and transport --all twice in one
+    # process: no state kept from the first run changes the second
     commands = [("verify", "homogeneous", "--n", "1", "--field", "2^2"),
+                ("verify", "homogeneous", "--n", "2", "--field", "5"),
+                ("verify", "similitude", "--n", "1", "--field", "7"),
+                ("transport", "--n", "1", "--field", "5", "--all"),
                 ("count", "--n", "2", "--field", "3"),
                 ("verify", "spin", "--n", "1", "--field", "5"),
                 ("verify", "similitude", "--n", "1", "--field", "2^2"),

@@ -28,9 +28,17 @@ def test_tracer_wraps_every_target_and_restores_it(capsys):
         assert quadrics.cli.main(["count", "--n", "1", "--field", "2"]) == 0
         # count reads raw tuples; transport --all enumerates the 6 points
         assert quadrics.cli.main(["transport", "--n", "1", "--field", "2", "--all"]) == 0
+        # --trace 1 must still see the group checks' entry points
+        assert quadrics.cli.main(["verify", "homogeneous", "--n", "1", "--field", "3"]) == 0
+        assert quadrics.cli.main(["verify", "similitude", "--n", "1", "--field", "3"]) == 0
     finally:
         tracer.uninstall()
     assert quadrics.cli.main is original_main is main
     assert {span[0] for span in tracer.spans} >= {"cli.main", "quadric.count_report"}
+    entries = [s for s in tracer.spans if s[0] in spans.ENTRY_POINTS]
+    assert list(dict.fromkeys(s[0] for s in entries)) == [
+        "quadric.count_report", "transport.quadric_transport",
+        "action.verify_homogeneous", "action.verify_similitude_orbit"]
+    assert all(tracer.spans[s[3]][0] == "cli.main" and s[2] >= s[1] for s in entries)
     assert spans.layer_metrics(tracer.spans)["quadric.points"] == 6
     capsys.readouterr()

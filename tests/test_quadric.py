@@ -37,6 +37,26 @@ def test_ambient_invariant_checked():
         AmbientQuadricPoint(s, s.one_vector())    # q(1) = 1
 
 
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 2)])
+def test_enumerated_points_are_checked_once(monkeypatch, n, q):
+    """The sweep checks q(w) = 0 on each point; wrapping the tuples as
+    points does not check them again."""
+    space = SplitSpace.pointed_even(Field.of_order(q), n)
+    calls = 0
+    raw_q = SplitSpace.raw_q
+
+    def counted(self, raws):
+        nonlocal calls
+        calls += 1
+        return raw_q(self, raws)
+
+    monkeypatch.setattr(SplitSpace, "raw_q", counted)
+    points = enumerate_quadric(space)
+    assert calls == len(points) == count_closed_form(n, q)
+    monkeypatch.undo()
+    assert all(p == AmbientQuadricPoint(space, p.w) and p.n == n for p in points)
+
+
 def test_to_ambient_examples():
     assert to_ambient(IntrinsicQuadricPoint.of(F2, [0], [0], 1)).w.to_strings() == \
         ["0", "0", "0", "1"]
