@@ -43,7 +43,6 @@ from .action import (
     in_so_even_stab,
     in_so_odd,
     orbit,
-    reflection_generators,
     stabilizer,
     verify_homogeneous,
     verify_similitude_orbit,
@@ -92,7 +91,6 @@ __all__ = [
     "orbit",
     "quadric_transport",
     "reflect",
-    "reflection_generators",
     "reflection_matrix",
     "reflection_transport",
     "similitude_factor",

@@ -44,12 +44,11 @@ from .quadform import (
     SplitSpace,
     Vector,
     _dickson,
-    dickson,
     is_isometry,
     raw_reflect,
     reflection_matrix,
 )
-from .quadric import AmbientQuadricPoint, _quadric_raws, base_point
+from .quadric import AmbientQuadricPoint, _quadric_raws
 
 
 class GroupContext:
@@ -97,8 +96,9 @@ def in_o_odd(ctx, m):
 
 
 def in_so_odd(ctx, m):
-    """O-model member with ambient Dickson invariant 0."""
-    return in_o_odd(ctx, m) and dickson(ctx.space, m) == 0
+    """O-model member with ambient Dickson invariant 0; in_o_odd's Gram pass
+    is the only one."""
+    return in_o_odd(ctx, m) and _dickson(ctx.space, m) == 0
 
 
 def in_so_even_stab(ctx, m):
@@ -166,13 +166,6 @@ def _normalize_raws(f, raws):
     return tuple(mul(c, a) for a in raws)
 
 
-def reflection_generators(ctx, force=False):
-    """All distinct reflections r_v with t(v) = 0 and q(v) invertible; each
-    fixes 1 and has Dickson invariant 1, so pairs are SO-model members."""
-    return [reflection_matrix(ctx.space, v)
-            for v in trace_zero_reflection_vectors(ctx, force=force)]
-
-
 def grow_orbit(found, new, maps, apply, stop=None):
     """Extend found, a Schreier vector point -> (map, parent) with seeds
     -> (None, None), breadth-first: each map of `new` on the points already
@@ -192,17 +185,16 @@ def grow_orbit(found, new, maps, apply, stop=None):
 
 # -- group enumeration ------------------------------------------------------
 
-def enumerate_isometries(space, fix_one=False, fix_x0=False, dickson_value=None,
-                         force=False):
+def enumerate_isometries(space, fix_one=False, dickson_value=None, force=False):
     """Direct column-by-column enumeration of all isometries of a split even
-    or pointed even space, optionally fixing the one-vector and/or x_0, and
-    optionally filtered by Dickson invariant.
+    or pointed even space, optionally fixing the one-vector (pointed even
+    only) and optionally filtered by Dickson invariant: the cross-check of
+    the stabilizer chain on small fields.
 
-    Columns are filled in an order that lets the linear constraints force
-    whole columns (m * 1 = 1 forces col_{n+1} once col_{2n+2} is chosen;
-    m * x_0 = x_0 pins col_{2n+2}), and candidates are pre-bucketed by their
-    q-value.  Images with the correct Gram data are automatically linearly
-    independent because the bilinear form is nondegenerate on these shapes.
+    With fix_one, col_{2n+2} is filled first and forces col_{n+1}, since
+    m * 1 = 1.  Candidates are pre-bucketed by their q-value.  Images with
+    the correct Gram data are automatically linearly independent because the
+    bilinear form is nondegenerate on these shapes.
     """
     f, d = space.field, space.dim
     if space.shape == "odd":
@@ -210,8 +202,8 @@ def enumerate_isometries(space, fix_one=False, fix_x0=False, dickson_value=None,
         # are modeled ambiently as 1-fixing isometries instead
         raise DimensionMismatch("isometry enumeration works on even-rank shapes")
     _isometry_guard(space, force)
-    if (fix_one or fix_x0) and space.shape != "pointed_even":
-        raise DimensionMismatch("the fixed vectors live in the pointed even space")
+    if fix_one and space.shape != "pointed_even":
+        raise DimensionMismatch("the one-vector lives in the pointed even space")
     n = space.n
 
     by_q = {}
@@ -226,7 +218,6 @@ def enumerate_isometries(space, fix_one=False, fix_x0=False, dickson_value=None,
         one_raws = space.one_vector().raws
     else:
         order = list(range(d))
-    x0_raws = tuple(1 if i == d - 1 else 0 for i in range(d))
 
     raw_b, raw_sub = space.raw_b, f.raw_sub
     cols = [None] * d
@@ -240,8 +231,6 @@ def enumerate_isometries(space, fix_one=False, fix_x0=False, dickson_value=None,
         if fix_one and j == n:
             forced = tuple(raw_sub(a, b) for a, b in zip(one_raws, cols[d - 1]))
             candidates = (forced,) if space.raw_q(forced) == q_ref[j] else ()
-        elif fix_x0 and j == d - 1:
-            candidates = (x0_raws,)
         else:
             candidates = by_q.get(q_ref[j], ())
         previous = [(order[i], cols[order[i]]) for i in range(k)]
@@ -284,26 +273,18 @@ def so_model_closure(ctx, force=False):
     return set(found.elements()), [g.rows for g in gens]
 
 
-def enumerate_group(ctx_or_space, model="so_odd", dickson_value=None, force=False):
-    """Enumerate one of the concrete group models, sorted by rows.
-
-    For a GroupContext: model "o_odd" (isometries fixing 1, by the column
-    search) or "so_odd" (plus Dickson 0, listed from the stabilizer chain by
-    so_model_closure).  For a SplitSpace: model "isometry" with an optional
-    Dickson filter, by the column search.
-    """
-    if isinstance(ctx_or_space, GroupContext):
-        ctx = ctx_or_space
-        if model == "o_odd":
-            members = enumerate_isometries(ctx.space, fix_one=True, force=force)
-        elif model == "so_odd":
-            rows, _ = so_model_closure(ctx, force=force)
-            members = [GroupElement(ctx.field, r) for r in rows]
-        else:
-            raise ValueError(f"unknown context model {model!r}")
+def enumerate_group(ctx, model="so_odd", force=False):
+    """List one of the group models of a GroupContext, sorted by rows: "o_odd"
+    (isometries fixing 1, by the column search) or "so_odd" (plus Dickson 0,
+    listed from the stabilizer chain by so_model_closure).  The isometries
+    of a bare SplitSpace are listed by enumerate_isometries."""
+    if model == "o_odd":
+        members = enumerate_isometries(ctx.space, fix_one=True, force=force)
+    elif model == "so_odd":
+        rows, _ = so_model_closure(ctx, force=force)
+        members = [GroupElement(ctx.field, r) for r in rows]
     else:
-        members = enumerate_isometries(ctx_or_space, dickson_value=dickson_value,
-                                       force=force)
+        raise ValueError(f"unknown context model {model!r}")
     return sorted(members, key=lambda m: m.rows)
 
 
@@ -316,13 +297,12 @@ def stabilizer(ctx, point, members=None, force=False):
     return [m for m in members if matvec(m.rows, raws) == raws]
 
 
-def orbit(ctx, start=None, force=False):
-    """BFS closure of a quadric point under reflection pairs, i.e. its orbit
-    under the SO-model; deterministic discovery order."""
+def orbit(ctx, force=False):
+    """The orbit of the base point x_0 under the SO-model, grown by
+    grow_orbit from reflection pairs r_a r_v; deterministic discovery order,
+    x_0 first."""
     f = ctx.field
     space = ctx.space
-    if start is None:
-        start = base_point(space)
     gens = [(v.raws, f.raw_inv(space.raw_q(v.raws)))
             for v in trace_zero_reflection_vectors(ctx, force=force)]
     a, inv_a = gens[0]
@@ -330,7 +310,7 @@ def orbit(ctx, start=None, force=False):
     def pair(g, w):   # r_a r_v w for g = (v, 1/q(v))
         return raw_reflect(space, a, inv_a, raw_reflect(space, *g, w))
 
-    found = grow_orbit({start.w.raws: (None, None)}, gens, gens, pair)
+    found = grow_orbit({ctx.x0.raws: (None, None)}, gens, gens, pair)
     return [AmbientQuadricPoint(space, Vector(f, w)) for w in found]
 
 

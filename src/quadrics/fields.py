@@ -72,38 +72,6 @@ def is_prime_power(q):
     return (q, 1)
 
 
-def _poly_divmod(a, b, p):
-    """Quotient and remainder of coefficient lists over F_p, low degree first."""
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    while db >= 0 and b[db] == 0:
-        db -= 1
-    inv_lead = pow(b[db], -1, p)
-    quo = [0] * max(da - db + 1, 1)
-    for i in range(da - db, -1, -1):
-        c = (a[i + db] * inv_lead) % p
-        quo[i] = c
-        if c:
-            for j in range(db + 1):
-                a[i + j] = (a[i + j] - c * b[j]) % p
-    return quo, a[:db] if db > 0 else [0]
-
-
-def _is_irreducible(modulus, p):
-    """Exhaustive check for degree <= 4: no factor of degree 1 or 2."""
-    k = len(modulus) - 1
-    for r in range(p):
-        if sum(c * pow(r, i, p) for i, c in enumerate(modulus)) % p == 0:
-            return False
-    if k == 4:
-        for c0 in range(p):
-            for c1 in range(p):
-                _, rem = _poly_divmod(modulus, (c0, c1, 1), p)
-                if not any(x % p for x in rem):
-                    return False
-    return True
-
-
 class Field:
     """Descriptor of F_p, GF(p^k) with a fixed modulus, or the rationals."""
 
@@ -138,7 +106,6 @@ class Field:
                 if (p, k) not in MODULI:
                     raise NoModulusAvailable(f"no built-in modulus for GF({p}^{k})")
                 self.modulus = MODULI[p, k]
-                assert _is_irreducible(self.modulus, p)
                 self._build_tables()
         self.key = (kind, p, k)
         self._hash = hash(self.key)
@@ -215,6 +182,8 @@ class Field:
                 if mul[a][b] == 1:
                     inv[a] = b
                     break
+            else:   # F_p[t]/(m) is a field exactly when m is irreducible
+                raise NoModulusAvailable(f"built-in modulus {mod} for GF({p}^{k}) is reducible")
         self._add, self._mul, self._neg, self._inv = add, mul, neg, inv
 
     def _pack(self, coeffs):
@@ -499,9 +468,6 @@ class FieldElement:
         """A square root in the same field, or None if there is none."""
         root = self.field.raw_sqrt(self.rep)
         return None if root is None else FieldElement(self.field, root)
-
-    def is_square(self):
-        return self.field.raw_sqrt(self.rep) is not None
 
     @property
     def is_zero(self):

@@ -269,8 +269,9 @@ class GroupElement:
     """An invertible square matrix over a Field, acting on column vectors.
 
     Rows are stored as tuples of packed raw values.  The forward elimination
-    (rank and determinant), the inverse and the Dickson invariant are cached
-    after first computation.
+    (rank and determinant) and the Dickson invariant are cached after first
+    computation.  There is no general inverse: an isometry's inverse is its
+    Gram adjoint, OrbitStabilizer.inverse in quadrics.action.
     """
 
     __slots__ = ("field", "rows", "cache")
@@ -366,28 +367,6 @@ class GroupElement:
 
     def det(self):
         return FieldElement(self.field, self._elimination()[1])
-
-    def inverse(self):
-        """Gauss-Jordan on [M | I], run only when an inverse is asked for."""
-        if "inverse" not in self.cache:
-            if not self.is_invertible:
-                raise SingularMatrix(f"matrix of rank {self.rank()} < {self.dim}")
-            f = self.field
-            sub, mul = f.raw_sub, f.raw_mul
-            d = self.dim
-            aug = [list(row) + [1 if i == j else 0 for j in range(d)]
-                   for i, row in enumerate(self.rows)]
-            for col in range(d):
-                piv = next(r for r in range(col, d) if aug[r][col])
-                aug[col], aug[piv] = aug[piv], aug[col]
-                inv_lead = f.raw_inv(aug[col][col])
-                aug[col] = [mul(inv_lead, x) for x in aug[col]]
-                for r in range(d):
-                    if r != col and aug[r][col]:
-                        c = aug[r][col]
-                        aug[r] = [sub(x, mul(c, y)) for x, y in zip(aug[r], aug[col])]
-            self.cache["inverse"] = GroupElement(f, [row[d:] for row in aug])
-        return self.cache["inverse"]
 
     @property
     def is_invertible(self):

@@ -122,15 +122,13 @@ class TransportCertificate:
 # -- candidate streams -------------------------------------------------------
 
 def _full_sweep(space):
-    """All vectors of the space: lexicographic over a finite field, integer
-    coordinates of height <= DEFAULT_HEIGHT over the rationals."""
+    """All vectors of the space: enumerate_vectors over a finite field,
+    integer coordinates of height <= DEFAULT_HEIGHT over the rationals."""
     f = space.field
     if f.is_finite:
-        coords = range(f.q)
-    else:
-        coords = [f.element(c).rep for c in range(-DEFAULT_HEIGHT, DEFAULT_HEIGHT + 1)]
-    for raws in product(coords, repeat=space.dim):
-        yield Vector(f, raws)
+        return space.enumerate_vectors()
+    coords = [f.element(c).rep for c in range(-DEFAULT_HEIGHT, DEFAULT_HEIGHT + 1)]
+    return (Vector(f, raws) for raws in product(coords, repeat=space.dim))
 
 
 # -- the transport operations -------------------------------------------------

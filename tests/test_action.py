@@ -26,11 +26,11 @@ from quadrics.action import (
     in_so_even_stab,
     in_so_odd,
     orbit,
-    reflection_generators,
     so_model_closure,
     so_orbit_stabilizer,
     stabilizer,
     structured_trace_zero,
+    trace_zero_reflection_vectors,
     verify_homogeneous,
     verify_similitude_orbit,
 )
@@ -126,6 +126,20 @@ def test_act():
         act(ctx2(), identity, x0)
 
 
+def test_in_so_odd_makes_one_gram_pass(monkeypatch):
+    import quadrics.quadform as quadform
+    c = ctx3()
+    g = reflection_matrix(c.space, c.space.vector([0, 1, 0, 2])) * \
+        reflection_matrix(c.space, c.space.vector([1, 0, 1, 0]))
+    calls = []
+    real = quadform._gram_pairs
+    monkeypatch.setattr(quadform, "_gram_pairs",
+                        lambda space, m: calls.append(m) or real(space, m))
+    assert "dickson" not in g.cache
+    assert in_so_odd(c, g)
+    assert calls == [g]
+
+
 def test_act_tests_membership_once_per_matrix(monkeypatch):
     import quadrics.action as action
     c = ctx3()
@@ -183,7 +197,7 @@ def test_structured_trace_zero(field, expected):
 
 def test_reflection_generators_f2():
     c = ctx2()
-    gens = reflection_generators(c)
+    gens = [reflection_matrix(c.space, v) for v in trace_zero_reflection_vectors(c)]
     assert len(gens) == 4
     vecs = {g.column(0) for g in gens}  # distinct matrices
     assert len(gens) == len(set(gens))
@@ -194,7 +208,7 @@ def test_reflection_generators_f2():
 
 def test_generator_count_f3():
     c = ctx3()
-    gens = reflection_generators(c)
+    gens = [reflection_matrix(c.space, v) for v in trace_zero_reflection_vectors(c)]
     # 27 trace-0 directions with leading coefficient 1; 9 have q = 0
     assert len(gens) == len(set(gens))
     for g in gens:
@@ -222,8 +236,12 @@ def test_so_model_is_closed_under_product_and_inverse(make_ctx):
     c = make_ctx()
     members = enumerate_group(c, "so_odd")
     mset = set(members)
+    inverse = so_orbit_stabilizer(c)[0].inverse
+    identity = GroupElement.identity(c.field, c.dim)
     for a in members:
-        assert a.inverse() in mset
+        a_inv = GroupElement(c.field, inverse(a.rows))
+        assert a * a_inv == identity
+        assert a_inv in mset
         for b in members:
             assert a * b in mset
 
@@ -248,11 +266,22 @@ def test_so_model_over_rationals_is_too_large():
         enumerate_group(GroupContext(Field.parse("Q"), 1), "so_odd")
 
 
-def test_enumerate_group_has_no_method_option():
-    # the SO-model is always listed from the chain; the column search is
-    # enumerate_isometries
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_group(ctx2(), "so_odd", method="direct"),
+    lambda: enumerate_isometries(ctx2().space, fix_one=True, fix_x0=True),
+    lambda: enumerate_group(SplitSpace.even(F3, 1), dickson_value=0),
+    lambda: orbit(ctx2(), start=base_point(ctx2().space)),
+], ids=["method", "fix_x0", "dickson_value", "start"])
+def test_enumerate_group_has_no_method_option(call):
+    # the SO-model is always listed from the chain, the column search is
+    # enumerate_isometries, and orbit() grows the orbit of x_0
     with pytest.raises(TypeError):
-        enumerate_group(ctx2(), "so_odd", method="direct")
+        call()
+
+
+def test_every_exported_name_resolves():
+    import quadrics
+    assert [name for name in quadrics.__all__ if not hasattr(quadrics, name)] == []
 
 
 def test_closure_matches_direct_so5_f2():

@@ -33,6 +33,14 @@ def test_gf4_modulus_is_irreducible():
         assert (c0 + c1 * t + c2 * t * t) % 2 == 1
 
 
+def test_reducible_modulus_is_refused(monkeypatch):
+    # (t + 1)^2 leaves t + 1 without an inverse; checked in every run mode
+    import quadrics.fields as fields
+    monkeypatch.setitem(fields.MODULI, (2, 2), (1, 0, 1))
+    with pytest.raises(NoModulusAvailable):
+        Field.extension(2, 2)
+
+
 def test_nonprime_characteristic_rejected():
     with pytest.raises(NonPrimeCharacteristic):
         Field.prime(4)

@@ -258,8 +258,6 @@ def test_forward_elimination_matches_gauss_jordan(f):
         assert m.rank() == rank
         assert m.det().rep == det
         assert m.is_invertible == (rank == d)
-        if rank == d:
-            assert m * m.inverse() == GroupElement.identity(f, d)
     assert ranks == {True, False}
 
 
