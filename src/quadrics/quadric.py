@@ -156,10 +156,10 @@ def _quadric_raws(space, force=False):
     enumerate_quadric's order; each is checked for q(w) = 0 and t(w) = 1.
 
     Enumerates the intrinsic model: for each (x, z) in lexicographic order
-    the solutions y of sum(x_i y_i) = z(1-z) form an affine subspace that is
-    swept directly, so the cost is proportional to q^(2n) rather than
-    q^(2n+2).  The field, shape and size are checked here, before the first
-    point is drawn.
+    the solutions y of sum(x_i y_i) = z(1-z) form an affine subspace, swept
+    in lexicographic order of y, so the cost is proportional to q^(2n)
+    rather than q^(2n+2).  The field, shape and size are checked here,
+    before the first point is drawn.
     """
     f = space.field
     if not f.is_finite:
@@ -173,42 +173,47 @@ def _quadric_raws(space, force=False):
 
 
 def _sweep_quadric(space):
-    """The sweep behind _quadric_raws, once its checks have passed."""
+    """The sweep behind _quadric_raws, once its checks have passed.
+
+    Only the pivot coordinate y_p (the last i with x_i != 0, or y_n when
+    x = 0) depends on z.  So each x builds, once for all q values of z, the
+    rows of free coordinates of -y split at the pivot with their share
+    s = sum_{i != p} x_i y_i, and a table taking c = z(1-z) - s, indexed by
+    its raw value, to the values of -y_p that solve x_p y_p = c: the one
+    value -c / x_p, or every value when x = 0 and c = 0.  Both are
+    O(q^(n-1)).  A point then costs one raw_sub, one lookup and its checks.
+    """
     f, n = space.field, space.n
-    sub, mul, neg = f.raw_sub, f.raw_mul, f.raw_neg
+    add, sub, mul, neg = f.raw_add, f.raw_sub, f.raw_mul, f.raw_neg
     raw_q, raw_trace, one = space.raw_q, space.raw_trace, f.one.rep
     rng = range(f.q)
-    for x_raws in product(rng, repeat=n):
-        pivot = next((i for i in reversed(range(n)) if x_raws[i]), None)
+    for x in product(rng, repeat=n):
+        pivot = next((i for i in reversed(range(n)) if x[i]), n - 1)
+        x_free = x[:pivot] + x[pivot + 1:]
+        rows = []
+        for y_free in product(rng, repeat=n - 1):
+            s = 0
+            for a, v in zip(x_free, y_free):
+                s = add(s, mul(a, v))
+            negs = tuple(map(neg, y_free))
+            rows.append((negs[:pivot], s, negs[pivot:]))
+        if x[pivot]:
+            inv = f.raw_inv(x[pivot])
+            solve = [(neg(mul(inv, c)),) for c in rng]
+        else:
+            solve = [tuple(map(neg, rng))] + [()] * (f.q - 1)
         for z in rng:
             rhs = mul(z, sub(1, z))
-            if pivot is None:
-                if rhs != 0:
-                    continue
-                y_candidates = product(rng, repeat=n)
-            else:
-                y_candidates = _hyperplane_solutions(f, x_raws, pivot, rhs, n)
-            head = x_raws + (sub(1, z),)
-            for y_raws in y_candidates:
-                # w = (x_1..x_n, 1-z, -y_1..-y_n, z), as to_ambient builds it
-                w = head + tuple(map(neg, y_raws)) + (z,)
-                if raw_q(w) != 0:
-                    raise InvariantViolation("q(w) != 0")
-                if raw_trace(w) != one:
-                    raise InvariantViolation("t(w) != 1")
-                yield w
-
-
-def _hyperplane_solutions(f, x_raws, pivot, rhs, n):
-    """Solutions y of sum(x_i y_i) = rhs given x_pivot != 0, free y elsewhere."""
-    rng = range(f.q)
-    free = [i for i in range(n) if i != pivot]
-    inv_pivot = f.raw_inv(x_raws[pivot])
-    for free_vals in product(rng, repeat=len(free)):
-        acc = rhs
-        for i, v in zip(free, free_vals):
-            acc = f.raw_sub(acc, f.raw_mul(x_raws[i], v))
-        yield free_vals[:pivot] + (f.raw_mul(inv_pivot, acc),) + free_vals[pivot:]
+            head, tail = x + (sub(1, z),), (z,)
+            for left, s, right in rows:
+                for p in solve[sub(rhs, s)]:
+                    # w = (x_1..x_n, 1-z, -y_1..-y_n, z), as to_ambient builds it
+                    w = head + left + (p,) + right + tail
+                    if raw_q(w) != 0:
+                        raise InvariantViolation("q(w) != 0")
+                    if raw_trace(w) != one:
+                        raise InvariantViolation("t(w) != 1")
+                    yield w
 
 
 def count_closed_form(n, q):

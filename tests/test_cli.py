@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -99,6 +100,21 @@ def test_transport_all(capsys):
     assert record["total"] == record["verified"] == 6
     assert set(record["paths"]) == {"identity", "case1", "case2"}
     assert sum(record["paths"].values()) == 6
+
+
+# SHA-256 of the whole --all report: its certificates follow the quadric
+# sweep's (x, z, y) order, so these bytes pin that order end to end.
+TRANSPORT_ALL_SHA256 = {
+    ("2", "2^2"): "9663fe14172a79b0d0ce36896a406c01c00297382a98044542b3208eaf1537fe",
+    ("1", "5"): "802b543e6318c5e4d43bf00c66e9bd4de2397c629c0c1dbcf4b1b500e1ded600",
+}
+
+
+@pytest.mark.parametrize("n,spec", sorted(TRANSPORT_ALL_SHA256))
+def test_transport_all_golden_digest(capsys, n, spec):
+    code, out = run(capsys, "transport", "--n", n, "--field", spec, "--all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRANSPORT_ALL_SHA256[(n, spec)]
 
 
 def test_transport_height_flag_is_gone(capsys):

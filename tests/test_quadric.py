@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -37,24 +38,38 @@ def test_ambient_invariant_checked():
         AmbientQuadricPoint(s, s.one_vector())    # q(1) = 1
 
 
-@pytest.mark.parametrize("n,q", [(1, 3), (2, 2)])
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 2), (2, 4)])
 def test_enumerated_points_are_checked_once(monkeypatch, n, q):
-    """The sweep checks q(w) = 0 on each point; wrapping the tuples as
-    points does not check them again."""
+    """The sweep checks q(w) = 0 and t(w) = 1 on each point, once each;
+    wrapping the tuples as points does not check them again."""
     space = SplitSpace.pointed_even(Field.of_order(q), n)
-    calls = 0
-    raw_q = SplitSpace.raw_q
+    calls = {"raw_q": 0, "raw_trace": 0}
 
-    def counted(self, raws):
-        nonlocal calls
-        calls += 1
-        return raw_q(self, raws)
+    def counting(name):
+        method = getattr(SplitSpace, name)
 
-    monkeypatch.setattr(SplitSpace, "raw_q", counted)
+        def counted(self, raws):
+            calls[name] += 1
+            return method(self, raws)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(SplitSpace, name, counting(name))
     points = enumerate_quadric(space)
-    assert calls == len(points) == count_closed_form(n, q)
+    assert calls["raw_q"] == calls["raw_trace"] == len(points) \
+        == count_closed_form(n, q)
     monkeypatch.undo()
     assert all(p == AmbientQuadricPoint(space, p.w) and p.n == n for p in points)
+
+
+@pytest.mark.parametrize("name,value,message", [("raw_q", 1, "q(w) != 0"),
+                                                ("raw_trace", 0, "t(w) != 1")])
+def test_sweep_checks_fire_on_the_first_point(monkeypatch, name, value, message):
+    space = SplitSpace.pointed_even(F3, 2)
+    monkeypatch.setattr(SplitSpace, name, lambda self, raws: value)
+    points = _quadric_raws(space)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        next(points)
 
 
 def test_to_ambient_examples():
@@ -119,8 +134,8 @@ def test_enumerate_guard():
         _quadric_raws(space)
 
 
-@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3),
-                                 (2, 4), (2, 5)])
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8),
+                                 (1, 9), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
 def test_raw_enumeration_matches_points(n, q):
     space = SplitSpace.pointed_even(Field.of_order(q), n)
     raws = list(_quadric_raws(space))
@@ -130,9 +145,14 @@ def test_raw_enumeration_matches_points(n, q):
     # the open cell by coordinate, as count_report reads it, against stratify
     assert [w[n - 1] != 0 for w in raws] == \
         [stratify(p)[0] == "open_cell" for p in points]
-    # the set against a sweep of the whole ambient space
-    assert set(raws) == {w for w in product(range(q), repeat=space.dim)
-                         if space.raw_q(w) == 0 and space.raw_trace(w) == 1}
+    # against a sweep of the whole ambient space, in lexicographic order of
+    # (x, z, y): the order transport --all prints its certificates in
+    neg = space.field.raw_neg
+    brute = [w for w in product(range(q), repeat=space.dim)
+             if space.raw_q(w) == 0 and space.raw_trace(w) == 1]
+    brute.sort(key=lambda w: (w[:n], w[2 * n + 1],
+                              tuple(map(neg, w[n + 1: 2 * n + 1]))))
+    assert raws == brute
 
 
 def test_count_closed_form():
