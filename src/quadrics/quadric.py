@@ -180,8 +180,9 @@ def _sweep_quadric(space):
     rows of free coordinates of -y split at the pivot with their share
     s = sum_{i != p} x_i y_i, and a table taking c = z(1-z) - s, indexed by
     its raw value, to the values of -y_p that solve x_p y_p = c: the one
-    value -c / x_p, or every value when x = 0 and c = 0.  Both are
-    O(q^(n-1)).  A point then costs one raw_sub, one lookup and its checks.
+    value -c / x_p, or every value when x = 0 and c = 0.  The rows take
+    O(q^(n-1)) space and the table O(q), never a list of points.  A point
+    then costs one raw_sub, one lookup and its own checks.
     """
     f, n = space.field, space.n
     add, sub, mul, neg = f.raw_add, f.raw_sub, f.raw_mul, f.raw_neg
