@@ -20,6 +20,7 @@ from .quadform import (
     reflect,
     reflection_matrix,
     similitude_factor,
+    word_matrix,
 )
 from .quadric import (
     AmbientQuadricPoint,
@@ -102,4 +103,5 @@ __all__ = [
     "verify_homogeneous",
     "verify_projective_space",
     "verify_similitude_orbit",
+    "word_matrix",
 ]

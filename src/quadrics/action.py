@@ -46,7 +46,7 @@ from .quadform import (
     _dickson,
     is_isometry,
     raw_reflect,
-    reflection_matrix,
+    word_matrix,
 )
 from .quadric import AmbientQuadricPoint, _quadric_raws
 
@@ -470,11 +470,11 @@ def so_orbit_stabilizer(ctx, force=False):
     for raws in _trace_zero_sweep(ctx, extra):
         if found.order() == expected:
             break
-        r = reflection_matrix(ctx.space, Vector(f, raws))
+        v = Vector(f, raws)
         if anchor is None:
-            anchor = r
+            anchor = v
             continue
-        g = anchor * r
+        g = word_matrix(ctx.space, [anchor, v])
         level, residue = found.sift(g.rows)
         if level is None:
             continue
@@ -534,8 +534,8 @@ def verify_homogeneous(field, n, force=False):
     stabilizer lies in extend_even(SO_{2n}); extend_even is injective, so
     equal orders make the two equal.  The quadric's guard and the
     stabilizer's guard fire before any enumeration starts.  The chain forms
-    transversals only where sifts land: (2,5) takes 137 matrix products and
-    about 20 ms in-process, forced (3,3) and (2,9) about 0.08 and 0.3 s.
+    transversals only where sifts land: (2,5) takes 127 matrix products and
+    20-30 ms in-process, forced (3,3) and (2,9) about 0.08 and 0.3 s.
     """
     ctx = GroupContext(field, n)
     points = _quadric_raws(ctx.space, force=force)   # its guard fires here

@@ -269,9 +269,9 @@ class GroupElement:
     """An invertible square matrix over a Field, acting on column vectors.
 
     Rows are stored as tuples of packed raw values.  The forward elimination
-    (rank and determinant) and the Dickson invariant are cached after first
-    computation.  There is no general inverse: an isometry's inverse is its
-    Gram adjoint, OrbitStabilizer.inverse in quadrics.action.
+    (rank and determinant) is cached after first computation.  There is no
+    general inverse: an isometry's inverse is its Gram adjoint,
+    OrbitStabilizer.inverse in quadrics.action.
     """
 
     __slots__ = ("field", "rows", "cache")
@@ -389,14 +389,20 @@ class GroupElement:
 
 # -- reflections ------------------------------------------------------------
 
-def reflect(space, v, w):
-    """r_v(w) = w - B(v, w) v / q(v); requires q(v) invertible."""
+def _reflector(space, v):
+    """(v.raws, 1/q(v)) for a reflection vector of the space; q(v) = 0
+    raises NonUnitNorm."""
     space._check_dim(v)
-    space._check_dim(w)
     qv = space.raw_q(v.raws)
     if not qv:
         raise NonUnitNorm("reflection vector has q = 0")
-    return Vector(space.field, raw_reflect(space, v.raws, space.field.raw_inv(qv), w.raws))
+    return v.raws, space.field.raw_inv(qv)
+
+
+def reflect(space, v, w):
+    """r_v(w) = w - B(v, w) v / q(v); requires q(v) invertible."""
+    space._check_dim(w)
+    return Vector(space.field, raw_reflect(space, *_reflector(space, v), w.raws))
 
 
 def raw_reflect(space, v, inv_q, w):
@@ -409,23 +415,23 @@ def raw_reflect(space, v, inv_q, w):
     return tuple(sub(wi, mul(c, vi)) for wi, vi in zip(w, v))
 
 
+def word_matrix(space, word, scalar=None):
+    """The matrix of r_{v_1} ... r_{v_m}, times the scalar c if one is given:
+    column j is the word applied, right to left, to c e_{j+1}."""
+    steps = [_reflector(space, v) for v in reversed(word)]
+    c = 1 if scalar is None else space.field.element(scalar).rep
+    cols = []
+    for j in range(space.dim):
+        w = (0,) * j + (c,) + (0,) * (space.dim - 1 - j)
+        for v, inv_q in steps:
+            w = raw_reflect(space, v, inv_q, w)
+        cols.append(w)
+    return GroupElement.from_columns(space.field, cols)
+
+
 def reflection_matrix(space, v):
-    """The matrix of r_v, I - v (B(v, e_j) / q(v))_j: column j is the
-    reflection of e_{j+1}."""
-    space._check_dim(v)
-    f = space.field
-    qv = space.raw_q(v.raws)
-    if not qv:
-        raise NonUnitNorm("reflection vector has q = 0")
-    sub, mul = f.raw_sub, f.raw_mul
-    inv_q = f.raw_inv(qv)
-    coeffs = [mul(inv_q, b) for b in space.raw_polar(v.raws)]
-    one, zero = f.one.rep, f.zero.rep
-    m = GroupElement(f, [[sub(one if i == j else zero, mul(vi, c))
-                          for j, c in enumerate(coeffs)]
-                         for i, vi in enumerate(v.raws)])
-    m.cache["dickson"] = 1
-    return m
+    """The matrix of r_v: column j is the reflection of e_{j+1}."""
+    return word_matrix(space, [v])
 
 
 # -- isometries and similitudes ----------------------------------------------
@@ -478,8 +484,6 @@ def dickson(space, m):
     if space.shape == "odd":
         raise OddDimension("Dickson invariant is exposed on even-rank shapes only")
     _check_matrix(space, m)
-    if "dickson" in m.cache:
-        return m.cache["dickson"]
     if not is_isometry(space, m):
         raise NotAnIsometry("Dickson invariant of a non-isometry")
     return _dickson(space, m)
@@ -487,18 +491,14 @@ def dickson(space, m):
 
 def _dickson(space, m):
     """dickson() for a matrix the caller has just shown to be an isometry of
-    this even-rank space; computed from m itself, whatever its cache holds."""
+    this even-rank space."""
     f = space.field
     if f.characteristic == 2:
         shifted = GroupElement(f, [tuple(f.raw_sub(x, 1 if i == j else 0)
                                          for j, x in enumerate(row))
                                    for i, row in enumerate(m.rows)])
-        d = shifted.rank() % 2
-    else:
-        det = m.det().rep
-        d = 0 if det == f.one.rep else 1
-    m.cache["dickson"] = d
-    return d
+        return shifted.rank() % 2
+    return 0 if m.det().rep == f.one.rep else 1
 
 
 def _check_matrix(space, m):

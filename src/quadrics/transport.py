@@ -29,14 +29,8 @@ from .errors import (
     NotOnQuadric,
     SearchExhausted,
 )
-from .quadform import (
-    GroupElement,
-    Vector,
-    _dickson,
-    reflect,
-    reflection_matrix,
-    similitude_factor,
-)
+from .fields import FieldElement
+from .quadform import Vector, _dickson, reflect, similitude_factor, word_matrix
 from .quadric import AmbientQuadricPoint, is_on_quadric
 
 DEFAULT_HEIGHT = 5
@@ -62,15 +56,7 @@ class TransportCertificate:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "path", path)
-        m = None
-        for v in self.word:
-            r = reflection_matrix(space, v)
-            m = r if m is None else m * r
-        if m is None:
-            m = GroupElement.identity(space.field, space.dim)
-        if scalar is not None:
-            m = m * GroupElement.scalar(space.field, space.dim, scalar)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", word_matrix(space, self.word, scalar))
         object.__setattr__(self, "verified", False)
         if not self.verify():
             raise InvariantViolation("transport certificate failed verification")
@@ -231,9 +217,8 @@ def similitude_transport(space, v):
     lam = f.raw_sqrt(f.raw_inv(qv))
     if lam is None:
         raise NonSquareNorm(f"1/q(v) = {f.raw_inv(qv)} is not a square")
-    scaled = v.scale(f.element(lam))
-    inner = reflection_transport(space, scaled, one)
-    scalar = f.element(lam)
+    scalar = FieldElement(f, lam)
+    inner = reflection_transport(space, v.scale(scalar), one)
     return TransportCertificate(space, inner.word, scalar, v, one,
                                 "scaled_" + inner.path)
 

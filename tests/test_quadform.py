@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,7 @@ from quadrics.errors import (
     SingularMatrix,
     WrongShape,
 )
-from quadrics.fields import Field
+from quadrics.fields import Field, FieldElement
 from quadrics.quadform import (
     SHAPES,
     GroupElement,
@@ -25,12 +26,14 @@ from quadrics.quadform import (
     reflect,
     reflection_matrix,
     similitude_factor,
+    word_matrix,
 )
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F4 = Field.extension(2, 2)
 F5 = Field.prime(5)
+F9 = Field.extension(3, 2)
 Q = Field.rationals()
 
 
@@ -191,10 +194,40 @@ def test_reflection_matrix_examples():
                                       [1, 0, 0, 0], [0, 0, 0, 1]])
 
 
-@pytest.mark.parametrize("f", [F2, F3, Field.extension(3, 2), Q], ids=str)
+def closed_form_reflection(s, v):
+    """I - v (B(v, e_j) / q(v))_j in FieldElement arithmetic from eval_b and
+    eval_q: a reference for the matrix of r_v that does not go through
+    raw_reflect."""
+    f = s.field
+    qv = s.eval_q(v)
+    coeffs = [s.eval_b(v, s.basis_vector(j)) / qv for j in range(s.dim)]
+    return GroupElement.of(f, [[(f.one if i == j else f.zero) - vi * c
+                                for j, c in enumerate(coeffs)]
+                               for i, vi in enumerate(v.coords)])
+
+
+def random_unit(f, rng):
+    if f.q is None:
+        return f.element(Fraction(rng.randrange(1, 5), rng.randrange(1, 5)))
+    return FieldElement(f, rng.randrange(1, f.q))
+
+
+def random_reflector(s, rng):
+    """A vector with q != 0, its raw coordinates drawn over the whole field
+    (small integers over Q)."""
+    f = s.field
+    while True:
+        v = (s.vector([rng.randrange(-3, 4) for _ in range(s.dim)]) if f.q is None
+             else Vector(f, [rng.randrange(f.q) for _ in range(s.dim)]))
+        if s.raw_q(v.raws):
+            return v
+
+
+@pytest.mark.parametrize("f", [F2, F3, F9, Q], ids=str)
 @pytest.mark.parametrize("shape", ["even", "odd", "pointed_even"])
 def test_reflection_matrix_columns_are_reflected_basis(f, shape):
-    # the one-pass matrix against reflect() applied to each basis vector
+    # the matrix against reflect() applied to each basis vector, and against
+    # the closed form I - v (B(v, e_j) / q(v))_j
     s = SplitSpace(f, shape, 2)
     rng = random.Random(7)
     done = 0
@@ -206,7 +239,44 @@ def test_reflection_matrix_columns_are_reflected_basis(f, shape):
         m = reflection_matrix(s, v)
         cols = [reflect(s, v, s.basis_vector(j)) for j in range(s.dim)]
         assert m == GroupElement.from_columns(f, cols)
+        assert m == closed_form_reflection(s, v)
         done += 1
+
+
+@pytest.mark.parametrize("f", [F2, F3, F9, Q], ids=str)
+@pytest.mark.parametrize("shape", ["even", "odd", "pointed_even"])
+def test_word_matrix_is_the_product_of_reflections(f, shape):
+    # the product of closed-form reflection matrices times the scalar matrix,
+    # for words of length 0 to 3, with and without a scalar
+    s = SplitSpace(f, shape, 2)
+    rng = random.Random(11)
+    for length in range(4):
+        for _ in range(3):
+            word = [random_reflector(s, rng) for _ in range(length)]
+            product = GroupElement.identity(f, s.dim)
+            for v in word:
+                product = product * closed_form_reflection(s, v)
+            assert word_matrix(s, word) == product
+            c = random_unit(f, rng)
+            assert word_matrix(s, word, c) == product * GroupElement.scalar(f, s.dim, c)
+
+
+@pytest.mark.parametrize("f", [F2, F3, F9, Q], ids=str)
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_word_matrix_refuses_an_isotropic_vector_anywhere(f, position):
+    s = SplitSpace.pointed_even(f, 1)
+    rng = random.Random(position)
+    word = [random_reflector(s, rng) for _ in range(3)]
+    word[position] = s.basis_vector(0)     # q(e_1) = 0
+    with pytest.raises(NonUnitNorm):
+        word_matrix(s, word)
+    with pytest.raises(NonUnitNorm):
+        word_matrix(s, word, f.one)
+    with pytest.raises(NonUnitNorm):
+        reflection_matrix(s, word[position])
+    word[position] = Vector.of(f, [1, 1, 1])
+    with pytest.raises(DimensionMismatch):
+        word_matrix(s, word)
 
 
 def test_det_reuses_the_elimination_behind_is_invertible():
@@ -334,6 +404,15 @@ def test_dickson_errors():
     s = SplitSpace.even(F5, 1)
     with pytest.raises(NotAnIsometry):
         dickson(s, GroupElement.scalar(F5, 2, 2))
+
+
+def test_dickson_does_not_trust_the_matrix_cache():
+    # a value left in the cache does not stand in for the isometry check
+    s = SplitSpace.even(F5, 1)
+    m = GroupElement.of(F5, [[2, 0], [0, 1]])
+    m.cache["dickson"] = 0
+    with pytest.raises(NotAnIsometry):
+        dickson(s, m)
 
 
 @pytest.mark.parametrize("f", [F2, F3, Field.extension(2, 2)])

@@ -8,6 +8,7 @@ from quadrics.errors import (
     NonSquareNorm,
     NormMismatch,
     NotOnQuadric,
+    SearchExhausted,
 )
 from quadrics.fields import Field
 from quadrics.quadform import SplitSpace
@@ -295,6 +296,26 @@ def test_similitude_covers_norm_one_f5():
     assert hits > 0
 
 
+@pytest.mark.parametrize("shape,field", [("pointed_even", Field.extension(2, 2)),
+                                         ("odd", Field.extension(3, 2))], ids=str)
+def test_similitude_scales_by_the_square_root_over_extensions(shape, field):
+    # the square root is a raw extension value, not an integer to reduce mod p
+    s = SplitSpace(field, shape, 1)
+    scalars = set()
+    for v in s.enumerate_vectors():
+        qv = s.raw_q(v.raws)
+        if not qv or field.raw_sqrt(field.raw_inv(qv)) is None or v == s.one_vector():
+            continue
+        try:
+            cert = similitude_transport(s, v)
+        except SearchExhausted:   # the reflection-orbit split of characteristic 2
+            continue
+        assert cert.scalar * cert.scalar * s.eval_q(v) == field.one
+        assert cert.matrix.apply(v) == s.one_vector()
+        scalars.add(cert.scalar)
+    assert any(c.rep >= field.p for c in scalars)
+
+
 # -- certificates -----------------------------------------------------------------
 
 def test_certificate_serialization():
@@ -352,3 +373,29 @@ def test_construction_runs_one_gram_pass_and_one_dickson(monkeypatch, point, pat
     assert calls == {"gram": 1, "dickson": 1}
     assert cert.verify()
     assert calls == {"gram": 2, "dickson": 2}
+
+
+def test_certificates_are_built_without_matrix_products(monkeypatch):
+    # every word becomes a matrix column by column through raw_reflect
+    F4 = Field.extension(2, 2)
+    calls = []
+    for field in (F3, F4):
+        real = field.matmul
+        monkeypatch.setattr(field, "matmul",
+                            lambda a, b, real=real: calls.append(1) or real(a, b))
+    c = GroupContext(F3, 1)
+    certs = {cert.path: cert for cert in (quadric_transport(c, c.space.vector(p))
+                                          for p in ([0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 1]))}
+    assert calls == []
+    s = SplitSpace.pointed_even(F4, 1)
+    for v in s.enumerate_vectors():
+        try:
+            cert = similitude_transport(s, v)
+        except IsotropicVector:
+            continue
+        certs.setdefault(cert.path, cert)
+    assert sorted(certs) == ["case1", "case2", "identity", "scaled_case1",
+                             "scaled_case2", "scaled_identity"]
+    assert any(cert.scalar not in (None, F4.one) for cert in certs.values())
+    assert all(cert.verified for cert in certs.values())
+    assert calls == []
