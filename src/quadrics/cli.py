@@ -48,9 +48,10 @@ def _parser():
 
     def common(p, symbolic_q=False):
         p.add_argument("--n", type=int, required=True, help="rank parameter n")
-        p.add_argument("--field", help="field spec: p^k, its order q, or Q")
+        field = p.add_mutually_exclusive_group(required=True) if symbolic_q else p
+        field.add_argument("--field", help="field spec: p^k, its order q, or Q")
         if symbolic_q:
-            p.add_argument("--q", type=int, help="symbolic prime power (no enumeration)")
+            field.add_argument("--q", type=int, help="symbolic prime power (no enumeration)")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--force", action="store_true", help="override size guards")
@@ -64,8 +65,9 @@ def _parser():
 
     p_tr = sub.add_parser("transport", help="reflection words moving the base point")
     common(p_tr)
-    p_tr.add_argument("--point", help="comma-separated target coordinates")
-    p_tr.add_argument("--all", action="store_true", help="transport every point")
+    target = p_tr.add_mutually_exclusive_group(required=True)
+    target.add_argument("--point", help="comma-separated target coordinates")
+    target.add_argument("--all", action="store_true", help="transport every point")
     return parser
 
 
@@ -76,15 +78,12 @@ def _field_of(args):
 
 
 def _cmd_count(args):
-    if args.field:
-        field = Field.parse(args.field)
-        record = count_report(args.n, field=field, force=args.force)
-    elif args.q is not None:
-        if is_prime_power(args.q) is None:
-            raise ValueError(f"{args.q} is not a prime power")
-        record = count_report(args.n, q=args.q)
+    if args.q is None:
+        record = count_report(args.n, field=Field.parse(args.field), force=args.force)
+    elif is_prime_power(args.q) is None:
+        raise ValueError(f"{args.q} is not a prime power")
     else:
-        raise ValueError("one of --field or --q is required")
+        record = count_report(args.n, q=args.q)
     return record, not record["match"]
 
 
@@ -129,8 +128,6 @@ def _cmd_transport(args):
         failed = record["verified"] != record["total"]
         record["pass"] = not failed
         return record, failed
-    if not args.point:
-        raise ValueError("provide --point or --all")
     coords = [field.parse_element(s) for s in args.point.split(",")]
     target = Vector(field, (c.rep for c in coords))
     cert = quadric_transport(ctx, target)

@@ -7,18 +7,20 @@ Two-case recipe for moving x to y with q(x) = q(y):
            set w' = x - r_w(y); then q(w') = B(w,x) B(w,y) / q(w) != 0 and
            r_w(r_{w'}(x)) = y.
 
-For quadric points the reflection vectors are restricted to the trace-0
-subspace, so the assembled element fixes 1.  Both cases have closed forms
-there, with no search: case 1 is the single reflection r_{w - x_0},
-post-composed with r_{u*}, u* = e_1 + e_{n+2} (which fixes both 1 and x_0),
-to land in the Dickson-0 model; case 2 happens exactly when w_{n+1} = 0, and
-then a = e_{n+1} - e_{2n+2} serves as the auxiliary vector over every field.
+_two_reflections is the recipe's one implementation.  reflection_transport
+and similitude_transport draw w from the structured vectors and a sweep.
+For quadric points every reflection vector has trace 0, so the assembled
+element fixes 1, and there is no search: the recipe moves the point p to
+x_0 with the one auxiliary a = e_{n+1} - e_{2n+2}, which serves in case 2
+(p_{n+1} = 0) over every field, and the reversed word moves x_0 to p.  A
+case-1 word is followed by r_{u*}, u* = e_1 + e_{n+2} (which fixes both 1
+and x_0), to land in the Dickson-0 model.
 Each certificate costs O(d^3).  TransportCertificate.verify is its one check:
 construction runs it, and so can any later caller.  It makes one Gram pass
 for the similitude factor and computes the Dickson invariant from the matrix.
 """
 
-from itertools import chain, product
+from itertools import product
 
 from .errors import (
     InfiniteField,
@@ -31,7 +33,7 @@ from .errors import (
 )
 from .fields import FieldElement
 from .quadform import Vector, _dickson, reflect, similitude_factor, word_matrix
-from .quadric import AmbientQuadricPoint, is_on_quadric
+from .quadric import AmbientQuadricPoint, enumerate_quadric, is_on_quadric
 
 DEFAULT_HEIGHT = 5
 
@@ -105,49 +107,56 @@ class TransportCertificate:
                 f"dickson={self.dickson})")
 
 
-# -- candidate streams -------------------------------------------------------
+# -- the two-reflection rule -------------------------------------------------
 
-def _full_sweep(space):
-    """All vectors of the space: enumerate_vectors over a finite field,
-    integer coordinates of height <= DEFAULT_HEIGHT over the rationals."""
+def _candidates(space):
+    """Case-2 candidates, drawn lazily: the structured vectors, then every
+    vector over a finite field, or integer coordinates of height at most
+    DEFAULT_HEIGHT over the rationals."""
+    yield from space.structured_vectors()
     f = space.field
     if f.is_finite:
-        return space.enumerate_vectors()
+        yield from space.enumerate_vectors()
+        return
     coords = [f.element(c).rep for c in range(-DEFAULT_HEIGHT, DEFAULT_HEIGHT + 1)]
-    return (Vector(f, raws) for raws in product(coords, repeat=space.dim))
+    yield from (Vector(f, raws) for raws in product(coords, repeat=space.dim))
 
 
-# -- the transport operations -------------------------------------------------
-
-def reflection_transport(space, x, y):
-    """A verified word of at most two reflections moving x to y.
-
-    Requires q(x) = q(y).  When the difference is anisotropic a single
-    reflection suffices; otherwise the auxiliary vector w is searched over
-    the structured vectors first, then the full sweep.
-    """
-    space._check_dim(x)
-    space._check_dim(y)
+def _two_reflections(space, x, y, auxiliaries):
+    """(word, path) of the two-case recipe moving x to y: [] when x = y,
+    [x - y] in case 1, else [w, x - r_w(y)] for the first w drawn from
+    auxiliaries with q(w), B(x, w), B(y, w) all nonzero."""
     if x == y:
-        return TransportCertificate(space, [], None, x, y, "identity")
+        return [], "identity"
     qx, qy = space.raw_q(x.raws), space.raw_q(y.raws)
     if qx != qy:
         raise NormMismatch(f"q(x) = {qx} but q(y) = {qy}")
     diff = x - y
     if space.raw_q(diff.raws):
-        return TransportCertificate(space, [diff], None, x, y, "case1")
-    for w in chain(space.structured_vectors(), _full_sweep(space)):
-        if not space.raw_q(w.raws):
-            continue
-        if not space.raw_b(x.raws, w.raws) or not space.raw_b(y.raws, w.raws):
-            continue
-        w_prime = x - reflect(space, w, y)
-        if not space.raw_q(w_prime.raws):
-            # q(w') = B(w,x) B(w,y) / q(w) is nonzero under the search
-            # conditions; reaching this line would falsify that identity
-            raise InvariantViolation("two-reflection auxiliary vector has q = 0")
-        return TransportCertificate(space, [w, w_prime], None, x, y, "case2")
-    raise SearchExhausted("no auxiliary vector w with q(w), B(x,w), B(y,w) all nonzero")
+        return [diff], "case1"
+    if not (any(space.raw_polar(x.raws)) and any(space.raw_polar(y.raws))):
+        auxiliaries = ()    # B(x, .) or B(y, .) vanishes: no w can serve
+    w = next((w for w in auxiliaries if space.raw_q(w.raws)
+              and space.raw_b(x.raws, w.raws) and space.raw_b(y.raws, w.raws)), None)
+    if w is None:
+        raise SearchExhausted("no auxiliary vector w with q(w), B(x,w), B(y,w) all nonzero")
+    w_prime = x - reflect(space, w, y)
+    if not space.raw_q(w_prime.raws):
+        # q(w') = B(w,x) B(w,y) / q(w) is nonzero under the search
+        # conditions; reaching this line would falsify that identity
+        raise InvariantViolation("two-reflection auxiliary vector has q = 0")
+    return [w, w_prime], "case2"
+
+
+# -- the transport operations -------------------------------------------------
+
+def reflection_transport(space, x, y):
+    """A verified word of at most two reflections moving x to y, which need
+    q(x) = q(y); case 2 searches w over _candidates."""
+    space._check_dim(x)
+    space._check_dim(y)
+    word, path = _two_reflections(space, x, y, _candidates(space))
+    return TransportCertificate(space, word, None, x, y, path)
 
 
 def dickson_fixer(ctx):
@@ -170,8 +179,9 @@ def case2_vector(ctx):
 
 
 def quadric_transport(ctx, point):
-    """A verified SO-model certificate moving x_0 to the given quadric point,
-    with a trace-0 reflection word of length at most 2, built in closed form."""
+    """A verified SO-model certificate moving x_0 to the given quadric point:
+    the recipe's word from the point to x_0, reversed, since
+    (r_w r_{w'})^{-1} = r_{w'} r_w, with trace-0 letters and no search."""
     space = ctx.space
     if isinstance(point, AmbientQuadricPoint):
         if point.space != space:
@@ -181,23 +191,18 @@ def quadric_transport(ctx, point):
         target = point
         if not is_on_quadric(space, target):
             raise NotOnQuadric(f"{target!r} is not on the quadric")
-    x0 = ctx.x0
-    if target == x0:
-        return TransportCertificate(space, [], None, x0, target, "identity")
-    diff = target - x0
-    if space.raw_q(diff.raws):
+    try:
+        # map defers building a until case 2 draws it
+        word, path = _two_reflections(space, target, ctx.x0, map(case2_vector, [ctx]))
+    except SearchExhausted:
+        raise InvariantViolation("case-2 vector a violated its guarantees") from None
+    word.reverse()
+    if path == "case1":
         # r_diff moves x_0 to the target but has Dickson 1; compose with r_{u*}
-        word = [diff, dickson_fixer(ctx)]
-        return TransportCertificate(space, word, None, x0, target, "case1")
-    # q(target - x_0) = -target_{n+1} = 0: case 2 with the closed-form a
-    a = case2_vector(ctx)
-    if (space.raw_trace(a.raws) or not space.raw_q(a.raws)
-            or not space.raw_b(x0.raws, a.raws) or not space.raw_b(target.raws, a.raws)):
-        raise InvariantViolation("case-2 vector a violated its guarantees")
-    a_prime = target - reflect(space, a, x0)
-    if not space.raw_q(a_prime.raws) or space.raw_trace(a_prime.raws):
-        raise InvariantViolation("case-2 auxiliary vector violated its guarantees")
-    return TransportCertificate(space, [a_prime, a], None, x0, target, "case2")
+        word.append(dickson_fixer(ctx))
+    if any(space.raw_trace(v.raws) for v in word):
+        raise InvariantViolation("quadric transport word left the trace-0 subspace")
+    return TransportCertificate(space, word, None, ctx.x0, target, path)
 
 
 def similitude_transport(space, v):
@@ -218,15 +223,13 @@ def similitude_transport(space, v):
     if lam is None:
         raise NonSquareNorm(f"1/q(v) = {f.raw_inv(qv)} is not a square")
     scalar = FieldElement(f, lam)
-    inner = reflection_transport(space, v.scale(scalar), one)
-    return TransportCertificate(space, inner.word, scalar, v, one,
-                                "scaled_" + inner.path)
+    word, path = _two_reflections(space, v.scale(scalar), one, _candidates(space))
+    return TransportCertificate(space, word, scalar, v, one, "scaled_" + path)
 
 
 def transport_all(ctx, force=False):
     """Certificates for every point of the quadric over a finite field,
     in enumeration order, with path statistics."""
-    from .quadric import enumerate_quadric
     points = enumerate_quadric(ctx.space, force=force)
     certs = [quadric_transport(ctx, p) for p in points]
     stats = {"identity": 0, "case1": 0, "case2": 0}

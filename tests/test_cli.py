@@ -50,6 +50,27 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["transport", "--n", "1", "--field", "3", "--point", "0,0,0,1", "--all"],
+     "argument --all: not allowed with argument --point"),
+    (["transport", "--n", "1", "--field", "3"], "one of the arguments --point --all is required"),
+    (["count", "--n", "1", "--field", "2^2", "--q", "9"],
+     "argument --q: not allowed with argument --field"),
+    (["count", "--n", "1"], "one of the arguments --field --q is required"),
+    (["verify", "homogeneous", "--n", "1", "--field", "3", "--q", "3"],
+     "argument --q: not allowed with argument --field"),
+    (["verify", "recursion", "--n", "1"], "one of the arguments --field --q is required"),
+])
+def test_conflicting_or_missing_options_are_usage_errors(capsys, argv, message):
+    # each combination used to be dropped silently or refused by a hand check
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+    assert "Traceback" not in captured.err
+
+
 def test_verify_homogeneous(capsys):
     code, out = run(capsys, "verify", "homogeneous", "--n", "1", "--field", "3")
     record = json.loads(out)

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import time
 
 import pytest
 
 from quadrics.errors import (
     InfiniteField,
+    InvariantViolation,
     IsotropicVector,
     NonSquareNorm,
     NormMismatch,
@@ -136,6 +139,20 @@ def test_rational_sweep_is_drawn_lazily():
     assert elapsed < 0.2
 
 
+@pytest.mark.parametrize("space,x,y", [
+    (SplitSpace.even(Q, 3), [0] * 6, [0] * 5 + [1]),
+    # B(e_7, .) = 2 e_7 = 0 in characteristic 2; q(e_7 - e_1 - e_4) = 1 - 1
+    (SplitSpace.odd(Field.extension(2, 3), 3), [0] * 6 + [1], [1, 0, 0, 1, 0, 0, 0]),
+], ids=["zero-over-Q", "odd-char-2"])
+def test_impossible_case2_search_is_refused_at_once(space, x, y):
+    # B(x, .) vanishes, so no auxiliary vector exists; sweeping all 11^6 or
+    # 8^7 candidates to learn that takes tens of seconds
+    start = time.perf_counter()
+    with pytest.raises(SearchExhausted):
+        reflection_transport(space, space.vector(x), space.vector(y))
+    assert time.perf_counter() - start < 1
+
+
 # -- quadric transport ------------------------------------------------------------
 
 def test_quadric_transport_base_point():
@@ -221,6 +238,31 @@ def test_transport_words_are_trace_zero_and_fix_one():
     for p in enumerate_quadric(c.space):
         cert = quadric_transport(c, p)
         assert cert.matrix.apply(c.one) == c.one
+
+
+def test_case2_vector_is_built_only_for_case2(monkeypatch):
+    import quadrics.transport as transport
+    built = []
+    monkeypatch.setattr(transport, "case2_vector",
+                        lambda ctx: built.append(1) or case2_vector(ctx))
+    c = GroupContext(F3, 1)
+    paths = [quadric_transport(c, c.space.vector(p)).path
+             for p in ([0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 1])]
+    assert paths == ["identity", "case1", "case2"] and built == [1]
+
+
+def test_a_without_its_guarantees_is_an_invariant_violation(monkeypatch):
+    import quadrics.transport as transport
+    c = GroupContext(F3, 1)
+    s, target = c.space, c.space.vector([1, 0, 0, 1])
+    # a vector that serves the recipe but leaves the trace-0 subspace
+    traced = next(v for v in s.enumerate_vectors()
+                  if s.raw_trace(v.raws) and s.raw_q(v.raws)
+                  and s.raw_b(c.x0.raws, v.raws) and s.raw_b(target.raws, v.raws))
+    for bad in (s.zero_vector(), traced):
+        monkeypatch.setattr(transport, "case2_vector", lambda ctx, bad=bad: bad)
+        with pytest.raises(InvariantViolation):
+            quadric_transport(c, target)
 
 
 # -- similitude transport ------------------------------------------------------------
@@ -399,3 +441,70 @@ def test_certificates_are_built_without_matrix_products(monkeypatch):
     assert any(cert.scalar not in (None, F4.one) for cert in certs.values())
     assert all(cert.verified for cert in certs.values())
     assert calls == []
+
+
+def test_each_transport_builds_one_certificate(monkeypatch):
+    built = []
+    real = TransportCertificate.__init__
+
+    def counted(self, *args):
+        built.append(args[-1])
+        real(self, *args)
+
+    monkeypatch.setattr(TransportCertificate, "__init__", counted)
+    s3 = SplitSpace.pointed_even(F3, 1)
+    s5 = SplitSpace.pointed_even(Field.prime(5), 1)
+    c = GroupContext(F3, 1)
+    calls = [lambda: reflection_transport(s3, s3.vector([1, 0, 1, 0]), s3.one_vector()),
+             lambda: reflection_transport(s3, s3.basis_vector(0), s3.basis_vector(1))]
+    calls += [lambda p=p: quadric_transport(c, c.space.vector(p))
+              for p in ([0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 1])]
+    calls += [lambda v=v: similitude_transport(s5, s5.vector(v))
+              for v in ([1, 0, 4, 1], [0, 3, 0, 3], [0, 1, 0, 1], [0, 1, 0, 4])]
+    for call in calls:
+        before = len(built)
+        cert = call()
+        assert built[before:] == [cert.path]
+    assert built == ["case1", "case2", "identity", "case1", "case2",
+                     "scaled_case2", "scaled_identity", "identity", "scaled_case1"]
+
+
+# -- golden words -------------------------------------------------------------------
+
+def _outcome(call, *args):
+    """[path, scalar, word] of a transport call as strings, or the class name
+    of its refusal."""
+    try:
+        cert = call(*args)
+    except (SearchExhausted, NonSquareNorm, IsotropicVector) as exc:
+        return type(exc).__name__
+    return [cert.path, None if cert.scalar is None else str(cert.scalar),
+            [v.to_strings() for v in cert.word]]
+
+
+def _reflection_words(s):
+    vectors = list(s.enumerate_vectors())
+    return [[x.to_strings(), y.to_strings(), _outcome(reflection_transport, s, x, y)]
+            for x in vectors for y in vectors if s.raw_q(x.raws) == s.raw_q(y.raws)]
+
+
+def _similitude_words(s):
+    return [[v.to_strings(), _outcome(similitude_transport, s, v)]
+            for v in s.enumerate_vectors()]
+
+
+WORDS_SHA256 = {
+    ("reflection", "pointed_even", "3"): "e700026205a8a580fda0857ecd837ef4267e58b4e0f5a2e7fa1c56a24e53ebae",
+    ("reflection", "odd", "2"): "9a8f94f4efd376abb72ee700a2ff3a8c592ddd8b63f435e95146e50ddf386b1d",
+    ("similitude", "pointed_even", "5"): "5d189b93cee3f1e56946c50d39fe1ab3a57e95951054938b74e819cc52e61dca",
+    ("similitude", "pointed_even", "2^2"): "2a115d4a422b25105346d6604c6627e01a9ca8d2974249a4ad234976e19ac308",
+}
+
+
+@pytest.mark.parametrize("kind,shape,spec", sorted(WORDS_SHA256))
+def test_transport_words_golden_digest(kind, shape, spec):
+    # every word, path and refusal of the general transports, pinned byte for byte
+    s = SplitSpace(Field.parse(spec), shape, 1)
+    records = (_reflection_words if kind == "reflection" else _similitude_words)(s)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == WORDS_SHA256[(kind, shape, spec)]
