@@ -45,10 +45,12 @@ class SpinFactor:
 
     def raw_jsquare(self, raws):
         """x^2 = t(x) x - q(x) 1 on a raw tuple; nothing is checked."""
+        return self._raw_square(raws, self.space.raw_trace(raws), self.space.raw_q(raws))
+
+    def _raw_square(self, raws, t, q):
+        """x^2 = t x - q 1 on a raw tuple, given t = t(x) and q = q(x)."""
         f = self.field
         sub, mul = f.raw_sub, f.raw_mul
-        t = self.space.raw_trace(raws)
-        q = self.space.raw_q(raws)
         return tuple(sub(mul(t, a), mul(q, o)) for a, o in zip(raws, self.one.raws))
 
     def u_operator(self, x, y):
@@ -76,14 +78,15 @@ def verify_projective_space(field, n, force=False):
     """Exhaustively compare {x : x^2 = x, t(x) = 1} with the quadric point
     set over a finite field.  Both sets lie in the hyperplane t(x) = 1, so
     only it is swept: x_1..x_{2n+1} run over F_q and x_{2n+2} = 1 - x_{n+1},
-    q^{2n+1} vectors, each tested against both predicates."""
+    q^{2n+1} vectors, each tested against both predicates, with t(x) and
+    q(x) evaluated once per vector."""
     sf = SpinFactor(field, n)
     space = sf.space
     if not field.is_finite:
         raise TooLarge("the projective-space check enumerates a finite field")
     if not force and field.q ** space.dim > ENUM_GUARD:
         raise TooLarge(f"{field.q}^{space.dim} vectors exceeds the guard")
-    jsquare, raw_trace, raw_q = sf.raw_jsquare, space.raw_trace, space.raw_q
+    square, raw_trace, raw_q = sf._raw_square, space.raw_trace, space.raw_q
     sub, one = field.raw_sub, field.one.rep
     idempotents = 0
     quadric_points = 0
@@ -91,9 +94,10 @@ def verify_projective_space(field, n, force=False):
     for head in product(range(field.q), repeat=space.dim - 1):
         raws = head + (sub(one, head[n]),)
         # both predicates ask for t(x) = 1, which the sweep makes true
-        trace_one = raw_trace(raws) == one
-        is_idem = trace_one and jsquare(raws) == raws
-        is_point = trace_one and raw_q(raws) == 0
+        t, q = raw_trace(raws), raw_q(raws)
+        trace_one = t == one
+        is_idem = trace_one and square(raws, t, q) == raws
+        is_point = trace_one and q == 0
         idempotents += is_idem
         quadric_points += is_point
         agree = agree and (is_idem == is_point)

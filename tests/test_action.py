@@ -16,8 +16,10 @@ from quadrics.quadric import base_point, count_closed_form, enumerate_quadric
 from quadrics.action import (
     GroupContext,
     OrbitStabilizer,
+    _apply_word,
     _normalize_raws,
     _trace_zero_sweep,
+    _words_to_one,
     act,
     enumerate_group,
     enumerate_isometries,
@@ -598,9 +600,11 @@ def test_similitude_orbit_matches_all_directions_closure(field, n):
 @pytest.mark.parametrize("field,before", [(F7, 84_672), (Field.of_order(9), 414_720)],
                          ids=["1-7", "1-9"])
 def test_similitude_orbit_stops_once_complete(monkeypatch, field, before):
-    """The BFS stops when the orbit reaches the expected size, and directions
+    """With no word for any vector, the fallback BFS grows the whole orbit
+    from 1; it stops when the orbit reaches the expected size, and directions
     with v_1 != 0 come first: under a quarter of the raw_reflect calls of
     the sweep-order BFS that closed the orbit under every map it had."""
+    monkeypatch.setattr("quadrics.action._words_to_one", lambda space: lambda w: None)
     calls = 0
 
     def counted(*args):
@@ -628,3 +632,140 @@ def test_similitude_orbit_evaluates_q_once_per_vector(monkeypatch, field, n):
     monkeypatch.setattr(SplitSpace, "raw_q", counted)
     assert verify_similitude_orbit(field, n)["pass"]
     assert calls == field.q ** (2 * n + 2)
+
+
+# -- the closed-form words of the similitude orbit --------------------------------
+
+F8 = Field.of_order(8)
+F9 = Field.of_order(9)
+
+
+def two_minus_trace(space, w):
+    f = space.field
+    return f.raw_sub(f.raw_add(1, 1), space.raw_trace(w))
+
+
+@pytest.mark.parametrize("field,w,case", [
+    (F3, (0, 2, 1, 2), 1), (F3, (0, 1, 1, 1), 2),
+    (F5, (0, 2, 1, 3), 1), (F5, (0, 1, 1, 1), 2),
+    (F9, (0, 2, 1, 2), 1), (F9, (0, 1, 1, 1), 2),
+    (F4, (0, 1, 1, 1), 2), (F8, (0, 1, 1, 1), 2),
+], ids=["3-case1", "3-case2", "5-case1", "5-case2", "9-case1", "9-case2",
+        "4-case2", "8-case2"])
+def test_similitude_word_moves_w_to_one_and_its_reversal_does_not(field, w, case):
+    """Case 1 is r_u r_{w-1} with u = e_1 + e_{n+2}; case 2 is r_z r_{w'},
+    with z = 1 in odd characteristic and z = 1 + s e_{n+1} + e_k in
+    characteristic 2.  Applied right to left the word lands on 1; with its
+    letters in the other order it does not, in either characteristic."""
+    space = SplitSpace.pointed_even(field, 1)
+    one = space.one_vector().raws
+    assert space.raw_q(w) == 1 and bool(two_minus_trace(space, w)) == (case == 1)
+    word = _words_to_one(space)(w)
+    assert len(word) == 2
+    (v_1, _), (v_2, _) = word
+    if case == 1:
+        assert v_1 == (1, 0, 1, 0)
+        assert v_2 == tuple(field.raw_sub(a, o) for a, o in zip(w, one))
+    elif field.characteristic != 2:
+        assert v_1 == one
+    else:
+        assert space.raw_trace(v_1) not in (0, 1) and v_1 != one
+    for v, inv_q in word:   # each 1/q, taken from an identity, is right
+        assert field.raw_mul(space.raw_q(v), inv_q) == 1
+    assert _apply_word(space, word, w) == one
+    assert _apply_word(space, word[::-1], w) != one
+
+
+@pytest.mark.parametrize("field,n", [(F3, 1), (F5, 1), (F9, 1), (F4, 1), (F8, 1),
+                                     (F3, 2), (F4, 2)],
+                         ids=["1-3", "1-5", "1-9", "1-4", "1-8", "2-3", "2-4"])
+def test_every_norm_one_vector_has_a_word_outside_f2(field, n):
+    space = SplitSpace.pointed_even(field, n)
+    word = _words_to_one(space)
+    one = space.one_vector().raws
+    for w in product(range(field.q), repeat=space.dim):
+        if space.raw_q(w) == 1:
+            assert _apply_word(space, word(w), w) == one
+
+
+def test_case_two_has_no_auxiliary_over_f2():
+    space = SplitSpace.pointed_even(F2, 1)
+    word = _words_to_one(space)
+    norm_one = [w for w in product(range(2), repeat=4) if space.raw_q(w) == 1]
+    assert [w for w in norm_one if word(w) is None] == [
+        w for w in norm_one if not two_minus_trace(space, w)]
+
+
+def counting_grow_orbit(monkeypatch):
+    """Replace action.grow_orbit by a wrapper recording the seeds of its first
+    call and the number of calls."""
+    import quadrics.action as action
+    grow, record = action.grow_orbit, {"calls": 0, "seeds": None}
+
+    def counted(found, *args, **kwargs):
+        if record["seeds"] is None:
+            record["seeds"] = set(found)
+        record["calls"] += 1
+        return grow(found, *args, **kwargs)
+
+    monkeypatch.setattr(action, "grow_orbit", counted)
+    return record
+
+
+@pytest.mark.parametrize("field,n", [(F3, 1), (F4, 1), (F5, 1)], ids=["1-3", "1-4", "1-5"])
+def test_corrupted_letter_leaves_its_vector_to_the_fallback(monkeypatch, field, n):
+    """A word whose letter is corrupted fails its check, so its vector is not
+    certified: the fallback BFS grows the orbit from the other vectors, and
+    the report is unchanged."""
+    clean = verify_similitude_orbit(field, n)
+    space = SplitSpace.pointed_even(field, n)
+    one = space.one_vector().raws
+    # u + x_0, u = e_1 + e_{n+2}, has q = 1 and t = 1: case 1, and its own
+    # w, as 1 is the square root of 1 the sweep takes
+    bad = tuple(1 if i in (0, n + 1, 2 * n + 1) else 0 for i in range(space.dim))
+    assert space.raw_q(bad) == 1 and field.raw_sqrt(1) == 1
+    words = _words_to_one(space)
+    letter_u, (v, inv_q) = words(bad)
+    corrupted = [letter_u, (v, field.raw_add(inv_q, 1))]   # a wrong 1/q(w - 1)
+    assert _apply_word(space, words(bad), bad) == one
+    assert _apply_word(space, corrupted, bad) != one
+
+    monkeypatch.setattr("quadrics.action._words_to_one",
+                        lambda space: lambda w: corrupted if w == bad else words(w))
+    record = counting_grow_orbit(monkeypatch)
+    assert verify_similitude_orbit(field, n) == clean
+    assert clean["pass"] and record["calls"] > 0
+    assert bad not in record["seeds"] and one in record["seeds"]
+    assert len(record["seeds"]) < clean["expected_orbit_size"]
+
+
+@pytest.mark.parametrize("field,n,orbit_size", [(F2, 1, 3), (F2, 2, 28), (F2, 3, 120)],
+                         ids=["1-2", "2-2", "3-2"])
+def test_similitude_fallback_over_f2(monkeypatch, field, n, orbit_size):
+    """Over F_2 case 2 has no word, and the fallback BFS, seeded with 1 and
+    the certified vectors, closes the same orbit as the all-directions
+    reference: short of the expected set at (1,2), all of it above."""
+    record = counting_grow_orbit(monkeypatch)
+    report = verify_similitude_orbit(field, n)
+    assert report == similitude_report_all_directions(field, n)
+    assert record["calls"] > 0 and len(record["seeds"]) > 1
+    assert report["orbit_size"] == orbit_size
+    assert report["pass"] == (n > 1)
+
+
+def test_similitude_odd_characteristic_needs_no_orbit(monkeypatch):
+    """At (2,5) every expected vector is certified by its word: no grow_orbit
+    call, and at most three raw_reflect calls per expected vector."""
+    record = counting_grow_orbit(monkeypatch)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return raw_reflect(*args)
+
+    monkeypatch.setattr("quadrics.action.raw_reflect", counted)
+    report = verify_similitude_orbit(F5, 2)
+    assert report["pass"] and report["expected_orbit_size"] == 6200
+    assert record["calls"] == 0
+    assert calls <= 3 * report["expected_orbit_size"]

@@ -572,6 +572,17 @@ CENSUS_GOLDEN = {
   "pass": true
 }
 """,
+    # the default cell (2,5), printed while the similitude orbit was grown by BFS
+    ("verify", "similitude", "--n", "2", "--field", "5"): """{
+  "check": "similitude",
+  "n": 2,
+  "field": "5",
+  "orbit_size": 6200,
+  "nonzero_norm_vectors": 12400,
+  "expected_orbit_size": 6200,
+  "pass": true
+}
+""",
 }
 
 
@@ -580,6 +591,31 @@ def test_census_golden_bytes(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == CENSUS_GOLDEN[argv]
+
+
+# SHA-256 of the similitude reports of these cells, concatenated in this order,
+# as printed while the orbit was grown by BFS: (1,2) fails with orbit_size 3,
+# (2,2) and (3,2) pass through the fallback, the rest through the words.
+SIMILITUDE_CELLS = [(1, "2"), (1, "3"), (1, "4"), (1, "5"), (1, "7"), (1, "8"), (1, "9"),
+                    (2, "2"), (2, "3"), (2, "4"), (2, "5"), (3, "2"), (3, "3")]
+SIMILITUDE_SHA256 = "d448b862f346956c84469f9998757b6c574672cff1452806f557e25e188b5024"
+# the default cell (2,7): its report took about 150 s to print by BFS
+SIMILITUDE_2_7_SHA256 = "13f22ccd687705aa6ccc8c8a3268b046c390575fe3a701dc58c358a3fbd361a9"
+
+
+def test_similitude_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for n, spec in SIMILITUDE_CELLS:
+        code, out = run(capsys, "verify", "similitude", "--n", str(n), "--field", spec)
+        assert code == (1 if (n, spec) == (1, "2") else 0)
+        digest.update(out.encode())
+    assert digest.hexdigest() == SIMILITUDE_SHA256
+
+
+def test_similitude_default_cell_golden_digest(capsys):
+    code, out = run(capsys, "verify", "similitude", "--n", "2", "--field", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMILITUDE_2_7_SHA256
 
 
 # -- argv grammar ---------------------------------------------------------------

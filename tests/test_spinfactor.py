@@ -130,7 +130,23 @@ def test_projective_check_sweeps_only_the_trace_one_hyperplane(monkeypatch):
 
     monkeypatch.setattr(SplitSpace, "raw_trace", counted)
     assert verify_projective_space(F3, 1)["pass"]
-    assert calls <= 2 * 3 ** 3   # the full cube made 3^4 + 3^3 = 108
+    assert calls == 3 ** 3   # once per swept vector; the full cube made 3^4 + 3^3 = 108
+
+
+@pytest.mark.parametrize("q,n", [("3", 1), ("2^2", 1), ("3", 2)])
+def test_projective_check_evaluates_q_once_per_vector(monkeypatch, q, n):
+    calls = 0
+    raw_q = SplitSpace.raw_q
+
+    def counted(self, raws):
+        nonlocal calls
+        calls += 1
+        return raw_q(self, raws)
+
+    monkeypatch.setattr(SplitSpace, "raw_q", counted)
+    field = Field.parse(q)
+    assert verify_projective_space(field, n)["pass"]
+    assert calls == field.q ** (2 * n + 1)
 
 
 def test_so_model_acts_by_jordan_automorphisms():
