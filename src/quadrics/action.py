@@ -26,7 +26,8 @@ grow_orbit.  Column enumeration is the cross-check.
 The similitude orbit of 1 grows no orbit: each expected vector is certified
 by a closed-form word of two reflections, checked by applying it, and
 grow_orbit runs only for the vectors left without one (over F_2), seeded
-with those certified: (2, 7) takes about 0.7 s in-process.
+with those certified: (2, 7) takes 0.33-0.5 s in-process (2 cores, Python
+3.11), its sweep on the compiled form kernels and raw_lincomb.
 """
 
 import random
@@ -606,9 +607,9 @@ def _words_to_one(space):
     there is none."""
     f, n = space.field, space.n
     add, sub, mul, inv = f.raw_add, f.raw_sub, f.raw_mul, f.raw_inv
-    raw_b, raw_trace = space.raw_b, space.raw_trace
+    raw_b, raw_trace, lincomb = space.raw_b, space.raw_trace, f.raw_lincomb
     one = space.one_vector().raws
-    two = add(1, 1)
+    two, minus_one = add(1, 1), f.raw_neg(1)
     u = tuple(1 if i in (0, n + 1) else 0 for i in range(space.dim))
     if f.characteristic != 2:
         shifts = [(0, None)]
@@ -625,11 +626,11 @@ def _words_to_one(space):
     def word(w):
         q_diff = sub(two, raw_trace(w))   # q(w - 1)
         if q_diff:
-            return [(u, 1), (tuple(map(sub, w, one)), inv(q_diff))]
+            return [(u, 1), (lincomb(1, w, minus_one, one), inv(q_diff))]
         for z, inv_qz, ratio, z_one in auxiliaries:
             bzw = raw_b(z, w)
             if bzw:
-                return [(z, inv_qz), (tuple(map(sub, w, z_one)), inv(mul(bzw, ratio)))]
+                return [(z, inv_qz), (lincomb(1, w, minus_one, z_one), inv(mul(bzw, ratio)))]
         return None
 
     return word
@@ -674,7 +675,7 @@ def verify_similitude_orbit(field, n, force=False):
     if not force and f.q ** d > VECTOR_GUARD:
         raise TooLarge(f"{f.q}^{d} vectors exceeds the sweep guard")
 
-    mul, inv, raw_q = f.raw_mul, f.raw_inv, space.raw_q
+    mul, inv, raw_q, lincomb = f.raw_mul, f.raw_inv, space.raw_q, f.raw_lincomb
     # 1/c for each square c^2 != 0 (in characteristic 2 every norm is a square)
     inv_root = {a: inv(c) for a in range(1, f.q) if (c := f.raw_sqrt(a)) is not None}
     word = _words_to_one(space)
@@ -691,7 +692,7 @@ def verify_similitude_orbit(field, n, force=False):
         if inv_c is None:
             continue
         expected.add(raws)
-        w = tuple(mul(inv_c, a) for a in raws)
+        w = lincomb(inv_c, raws, 0, raws)   # v / c
         letters = word(w)
         if letters is None or _apply_word(space, letters, w) != one:
             uncertified.add(raws)

@@ -12,7 +12,7 @@ import sys
 from .action import GroupContext, verify_homogeneous, verify_similitude_orbit
 from .errors import NotOnQuadric, QuadricsError, TooLarge
 from .fields import Field, is_prime_power
-from .quadric import count_closed_form, count_recursive, count_report
+from .quadric import count_report, recursion_report
 from .spinfactor import verify_projective_space
 from .transport import quadric_transport, transport_all
 from .quadform import Vector
@@ -93,13 +93,8 @@ def _cmd_verify(args):
         q = args.q if args.q is not None else (_field_of(args).q)
         if q is None or is_prime_power(q) is None:
             raise ValueError("recursion check needs a prime power --q or finite --field")
-        values = [(m, count_closed_form(m, q), count_recursive(m, q))
-                  for m in range(0, args.n + 1)]
-        ok = all(c == r for _, c, r in values)
-        record = {"check": "recursion", "n": args.n, "q": q,
-                  "closed_form": values[-1][1], "recursive": values[-1][2],
-                  "all_ranks_match": ok, "pass": ok}
-        return record, not ok
+        record = recursion_report(args.n, q)
+        return record, not record["pass"]
     field = _field_of(args)
     if args.n < 1:
         raise ValueError("--n must be at least 1 for group checks")

@@ -5,13 +5,15 @@ for a prime field, sum(c_i * p**i) for the coefficient vector (c_0, ..,
 c_{k-1}) of an extension.  Packing keeps vectors and matrices hashable and
 cheap to compare; rationals are carried as Fraction.  All representations
 are canonical, so equality is representation equality.  Each Field binds the
-raw operations and matrix kernels on these representations for its kind when
-it is built; other modules compute only through them.
+raw operations, the linear-combination kernel and the matrix kernels on
+these representations for its kind when it is built, and compiles a form
+kernel for an index-pair tuple on request; other modules compute only
+through them.
 """
 
 import re
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from operator import add, mul, neg, sub
 
 from .errors import (
@@ -72,13 +74,20 @@ def is_prime_power(q):
     return (q, 1)
 
 
+@cache
+def _compiled(source):
+    """The code object of a generated kernel's source, compiled once."""
+    return compile(source, "<quadrics kernel>", "eval")
+
+
 class Field:
     """Descriptor of F_p, GF(p^k) with a fixed modulus, or the rationals."""
 
     __slots__ = (
         "kind", "p", "k", "q", "modulus", "key",
         "_add", "_mul", "_inv", "_neg", "_sqrt", "_hash",
-        "raw_add", "raw_sub", "raw_neg", "raw_mul", "raw_inv", "matmul", "matvec",
+        "raw_add", "raw_sub", "raw_neg", "raw_mul", "raw_inv", "raw_lincomb",
+        "matmul", "matvec",
     )
 
     def __init__(self, kind, p=0, k=1):
@@ -205,6 +214,7 @@ class Field:
         """Bind the raw operations and the matrix kernels of this field's
         kind, once: prime fields reduce mod p, extensions read the tables,
         and Q computes with Fraction, so no call branches on the kind.
+        raw_lincomb(a, x, b, y) is the tuple a x + b y of two vectors,
         matmul takes two row tuples and matvec a row tuple and a vector."""
         if self.kind == "extension":
             add_t, mul_t, neg_t, inv_t = self._add, self._mul, self._neg, self._inv
@@ -223,6 +233,10 @@ class Field:
             def matvec(a, v):
                 return tuple(dot(row, v) for row in a)
 
+            def lincomb(a, x, b, y):
+                row_a, row_b = mul_t[a], mul_t[b]
+                return tuple([add_t[row_a[s]][row_b[t]] for s, t in zip(x, y)])
+
             self.raw_add = lambda a, b: add_t[a][b]
             self.raw_sub = lambda a, b: add_t[a][neg_t[b]]
             self.raw_neg = neg_t.__getitem__
@@ -239,6 +253,9 @@ class Field:
             def matvec(a, v):
                 return tuple(sum(map(mul, row, v)) % p for row in a)
 
+            def lincomb(a, x, b, y):
+                return tuple([(a * s + b * t) % p for s, t in zip(x, y)])
+
             self.raw_add = lambda a, b: (a + b) % p
             self.raw_sub = lambda a, b: (a - b) % p
             self.raw_neg = lambda a: -a % p
@@ -252,6 +269,11 @@ class Field:
             def matvec(a, v):
                 return tuple(sum(map(mul, row, v)) for row in a)
 
+            def lincomb(a, x, b, y):
+                if a == 1:   # skips a Fraction product per coordinate
+                    return tuple([s + b * t for s, t in zip(x, y)])
+                return tuple([a * s + b * t for s, t in zip(x, y)])
+
             self.raw_add, self.raw_sub, self.raw_neg, self.raw_mul = add, sub, neg, mul
             inv = partial(Fraction, 1)   # 1 / a would be a float for an int a
 
@@ -260,7 +282,24 @@ class Field:
                 raise DivisionByZero("inverse of zero")
             return inv(a)
 
-        self.raw_inv, self.matmul, self.matvec = raw_inv, matmul, matvec
+        self.raw_inv, self.raw_lincomb = raw_inv, lincomb
+        self.matmul, self.matvec = matmul, matvec
+
+    def bilinear(self, pairs):
+        """f(u, w) = sum of u_i w_j over the index pairs (i, j), as one
+        straight-line expression: one sum reduced once mod p, nested table
+        lookups in an extension, a plain sum over Q.  Its source is built
+        from the indices and p alone and compiled once per distinct source;
+        nothing is compiled until a kernel is asked for."""
+        if self.kind == "extension":
+            body = f"mul[u[{pairs[0][0]}]][w[{pairs[0][1]}]]"
+            for i, j in pairs[1:]:
+                body = f"add[{body}][mul[u[{i}]][w[{j}]]]"
+            return eval(_compiled(f"lambda u, w: {body}"), {"add": self._add, "mul": self._mul})
+        body = " + ".join(f"u[{i}]*w[{j}]" for i, j in pairs)
+        if self.kind == "prime":
+            body = f"({body}) % {self.p}"
+        return eval(_compiled(f"lambda u, w: {body}"), {})
 
     @property
     def is_finite(self):

@@ -1,9 +1,14 @@
 """Size guards, one per kind of enumeration.  Each command compares a
 closed-form size with its guard before the enumeration starts and raises
-TooLarge above it; force=True (the CLI's --force) skips the check."""
+TooLarge above it; force=True (the CLI's --force) skips the check.
+
+DIGIT_GUARD is not a work bound and --force does not skip it: a report
+prints its counts in decimal, and Python converts no int of more digits than
+its default limit to a string."""
 
 ENUM_GUARD = 10 ** 8      # quadric points, q^(2n+1), and spin-check vectors, q^dim
 VECTOR_GUARD = 10 ** 8    # vectors swept for reflections and the similitude orbit
+DIGIT_GUARD = 4300        # decimal digits of a printed count, q^(2n) + q^n
 BRUTE_GUARD = 10 ** 9     # candidate cap q^(dim^2) for direct enumeration
 CLOSURE_GUARD = 10 ** 6   # the SO-model listed by so_model_closure, and |Stab(x_0)| in
                           # so_orbit_stabilizer; the chain never lists Stab(x_0), so this

@@ -9,6 +9,13 @@ Three shapes of split space over a field F:
 The pointed even space carries the distinguished vector 1 = e_{n+1} + e_{2n+2}
 with q(1) = 1 and the trace form t(x) = B(x, 1) = x_{n+1} + x_{2n+2}.
 
+q, B and t are each one straight-line kernel f(u, w) = sum of u_i w_j over
+index pairs, generated by Field.bilinear on a space's first call and then
+kept on it: q(w) = f(w, w) over the hyperbolic pairs (and the odd square
+slot), B(u, w) = f(u, w) over those pairs and their swaps, and t(w) = f(w, 1)
+over the two trace slots.  A reflection r_v(w) = w - c v is one call to the
+field's linear-combination kernel raw_lincomb.
+
 A matrix m is tested against q through its Gram data: q of each column and B
 of each pair of columns, against the same values on the basis.  is_isometry
 and similitude_factor both read these pairs from _gram_pairs.
@@ -112,16 +119,26 @@ def _dim(shape, n):
 def _pairs(shape, n):
     """The index pairs (i, j) with q(x) = sum x_i x_j; the odd shape's square
     term x_{2n+1}^2 is the pair (2n, 2n).  Shared by every space of one shape
-    and rank: quadric enumeration builds a space for each point it holds."""
+    and rank."""
     h = n + 1 if shape == "pointed_even" else n
     pairs = tuple((i, h + i) for i in range(h))
     return pairs + ((2 * n, 2 * n),) if shape == "odd" else pairs
 
 
-class SplitSpace:
-    """A split quadratic space of one of the three shapes above."""
+# The index pairs of each form kernel of a space; B's swaps give the odd
+# square slot twice, 2 u w.
+_KERNEL_PAIRS = {
+    "_q": lambda s: s.pairs,
+    "_b": lambda s: s.pairs + tuple((j, i) for i, j in s.pairs),
+    "_t": lambda s: ((s.n, s.n), (2 * s.n + 1, 2 * s.n + 1)),
+}
 
-    __slots__ = ("field", "shape", "n", "dim", "pairs")
+
+class SplitSpace:
+    """A split quadratic space of one of the three shapes above; its form
+    kernels are built on first use, so constructing it compiles nothing."""
+
+    __slots__ = ("field", "shape", "n", "dim", "pairs", "_q", "_b", "_t", "_one")
 
     def __init__(self, field, shape, n):
         if shape not in SHAPES:
@@ -208,21 +225,23 @@ class SplitSpace:
 
     # -- the form, its polarization, and the trace -------------------------
 
+    def __getattr__(self, name):
+        """An unset kernel slot (_q, _b, _t) or the raws of 1 (_one): built
+        here on first use and kept in the slot."""
+        if name == "_one":
+            value = self.one_vector().raws
+        elif name in _KERNEL_PAIRS:
+            value = self.field.bilinear(_KERNEL_PAIRS[name](self))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, value)
+        return value
+
     def raw_q(self, raws):
-        f = self.field
-        mul, add = f.raw_mul, f.raw_add
-        total = 0
-        for i, j in self.pairs:
-            total = add(total, mul(raws[i], raws[j]))
-        return total
+        return self._q(raws, raws)
 
     def raw_b(self, u, w):
-        f = self.field
-        mul, add = f.raw_mul, f.raw_add
-        total = 0
-        for i, j in self.pairs:
-            total = add(total, add(mul(u[i], w[j]), mul(u[j], w[i])))
-        return total
+        return self._b(u, w)
 
     def raw_polar(self, raws):
         """(B(v, e_1), ..., B(v, e_d)): each coordinate's hyperbolic partner,
@@ -252,7 +271,7 @@ class SplitSpace:
         return FieldElement(self.field, self.raw_trace(v.raws))
 
     def raw_trace(self, raws):
-        return self.field.raw_add(raws[self.n], raws[2 * self.n + 1])
+        return self._t(raws, self._one)
 
     def __eq__(self, other):
         return (isinstance(other, SplitSpace) and other.field == self.field
@@ -411,8 +430,7 @@ def raw_reflect(space, v, inv_q, w):
     c = f.raw_mul(space.raw_b(v, w), inv_q)
     if not c:
         return tuple(w)
-    sub, mul = f.raw_sub, f.raw_mul
-    return tuple(sub(wi, mul(c, vi)) for wi, vi in zip(w, v))
+    return f.raw_lincomb(1, w, f.raw_neg(c), v)
 
 
 def word_matrix(space, word, scalar=None):

@@ -8,6 +8,7 @@ over every ring: q(w) = z(1-z) - sum(x_i y_i) and t(w) = 1 identically.
 """
 
 from itertools import product
+from math import log10
 
 from .errors import (
     DimensionMismatch,
@@ -17,7 +18,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import FieldElement, is_prime_power
-from .guards import ENUM_GUARD
+from .guards import DIGIT_GUARD, ENUM_GUARD
 from .quadform import SplitSpace, Vector
 
 
@@ -239,6 +240,39 @@ def _check_count_args(n, q):
         raise InvalidPrimePower(f"{q} is not a prime power")
 
 
+def _check_digits(n, q):
+    """Refuse a report whose count q^(2n) + q^n has more than DIGIT_GUARD
+    decimal digits, before computing it.  q^(2n) has floor(2n log10 q) + 1
+    digits and the sum at most one more, so only a count within a digit of
+    the guard is computed, to compare it with 10^DIGIT_GUARD exactly."""
+    _check_count_args(n, q)
+    size = 2 * n * log10(q)
+    if size > DIGIT_GUARD + 1 or (size > DIGIT_GUARD - 1
+                                  and count_closed_form(n, q) >= 10 ** DIGIT_GUARD):
+        raise TooLarge(f"q^(2n) + q^n has about {int(size) + 1} digits at n = {n}, "
+                       f"q = {q}, over the {DIGIT_GUARD}-digit guard on printed counts")
+
+
+def recursion_report(n, q):
+    """The closed form against the recursion at every rank m <= n, built in
+    one pass: q^m and q^(2m) are carried from rank to rank, and count(m) =
+    q^(2m-1)(q-1) + q count(m-1) from count(m-1), so the work is linear in
+    n big-integer steps.  The size is checked first."""
+    _check_digits(n, q)
+    q_m = q_2m = 1
+    closed = recursive = 2   # count(0): the quadric is two points
+    ok = True
+    for _ in range(n):
+        q_m *= q
+        q_2m *= q * q
+        closed = q_2m + q_m
+        recursive = q_2m // q * (q - 1) + q * recursive
+        ok = ok and closed == recursive
+    return {"check": "recursion", "n": n, "q": q,
+            "closed_form": closed, "recursive": recursive,
+            "all_ranks_match": ok, "pass": ok}
+
+
 def stratify(point):
     """Locate a point in the open cell A^(2n-1) x G_m (x_n != 0) or the
     closed cell Q_(2n-2) x A^1 (x_n = 0), returning the cell coordinates.
@@ -262,6 +296,7 @@ def count_report(n, field=None, q=None, force=False):
         if not field.is_finite:
             raise InfiniteField("cannot count points over the rationals")
         q = field.q
+    _check_digits(n, q)
     closed = count_closed_form(n, q)
     rec = count_recursive(n, q)
     report = {"n": n, "field": str(field) if field is not None else str(q),

@@ -35,8 +35,7 @@ class SpinFactor:
         self.space._check_dim(x)
         t = self.space.raw_trace(x.raws)
         f = self.field
-        return Vector(f, (f.raw_sub(f.raw_mul(t, o), a)
-                          for o, a in zip(self.one.raws, x.raws)))
+        return Vector(f, f.raw_lincomb(t, self.one.raws, f.raw_neg(1), x.raws))
 
     def jsquare(self, x):
         """x^2 = t(x) x - q(x) 1."""
@@ -50,8 +49,7 @@ class SpinFactor:
     def _raw_square(self, raws, t, q):
         """x^2 = t x - q 1 on a raw tuple, given t = t(x) and q = q(x)."""
         f = self.field
-        sub, mul = f.raw_sub, f.raw_mul
-        return tuple(sub(mul(t, a), mul(q, o)) for a, o in zip(raws, self.one.raws))
+        return f.raw_lincomb(t, raws, f.raw_neg(q), self.one.raws)
 
     def u_operator(self, x, y):
         """U_x y = B(x, y*) x - q(x) y*."""
@@ -61,8 +59,7 @@ class SpinFactor:
         y_conj = self.conjugate(y)
         b = self.space.raw_b(x.raws, y_conj.raws)
         q = self.space.raw_q(x.raws)
-        return Vector(f, (f.raw_sub(f.raw_mul(b, a), f.raw_mul(q, c))
-                          for a, c in zip(x.raws, y_conj.raws)))
+        return Vector(f, f.raw_lincomb(b, x.raws, f.raw_neg(q), y_conj.raws))
 
     def is_rank_one_projection(self, x):
         """x^2 = x together with t(x) = 1."""

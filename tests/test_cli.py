@@ -105,6 +105,66 @@ def test_verify_recursion(capsys):
     assert code == 0 and record["pass"] and record["all_ranks_match"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "100000", "--q", "2"],
+    ["verify", "recursion", "--n", "1000", "--q", "1021"],   # about 6,019 digits
+    ["count", "--n", "100000", "--field", "2"],
+    ["count", "--n", "7143", "--q", "2"],            # 4301 digits: one over
+], ids=" ".join)
+def test_unprintable_counts_are_refused_up_front(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and elapsed < 1.0
+    assert captured.err.startswith("error: q^(2n) + q^n has about ")
+    assert "digits" in captured.err and captured.err.count("\n") == 1
+
+
+def test_count_at_the_digit_guard_prints():
+    """2^14284 + 2^7142 has 4300 digits, the most a report prints."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["count", "--n", "7142", "--q", "2"])
+    record = json.loads(buf.getvalue())
+    assert code == 0 and record["closed_form"] == 2 ** 14284 + 2 ** 7142
+    assert len(str(record["closed_form"])) == 4300 == len(str(record["recursive"]))
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("verify recursion --n 6 --q 5",
+     "a9c0bc64a216cdb133c24a8dd039be14be788fbcb33a33360d916908427042d2"),
+    ("verify recursion --n 0 --q 2",
+     "e1ab81a9f5f9c0eaf3758740650e85992489da8309de5518730861d305b7772c"),
+    ("verify recursion --n 3 --field 2^2",
+     "70ef88ee5b311c7e7812f5e68e63eeb16aea12af690bea479586200d9cae9443"),
+    ("verify recursion --n 40 --q 7",
+     "7a723cd908ab36ea5cd9f9f3453f5b062da343875726428a08b7495a0a22eb14"),
+    ("count --n 6 --q 9",
+     "749afd76a31940a57ff09d29cf4f689f400cd22792f8674bafb3efabb50c868f"),
+    ("count --n 0 --q 3",
+     "1d6dc595014a977dd1405c336a7184a9278bb5f6fb382b4b01457e38fda3a24b"),
+    ("count --n 40 --q 7",
+     "3b49083fe261092dff9bac0d732a16d60546fcebd09d86f0992e0f386dbb622f"),
+    ("count --n 7142 --q 2",
+     "c6ce3102531a2aafec2a6d534474ea79718fb337d4b710c1e9601f02875bddc1"),
+])
+def test_symbolic_reports_keep_their_bytes(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_recursion_takes_one_pass(capsys):
+    """Every rank's closed form and recursion come from one pass: 3000 ranks
+    over F_2 once took 11.5 s, rebuilding count(m) from scratch for each m."""
+    start = time.perf_counter()
+    code, out = run(capsys, "verify", "recursion", "--n", "3000", "--q", "2")
+    elapsed = time.perf_counter() - start
+    record = json.loads(out)
+    assert code == 0 and record["all_ranks_match"] and elapsed < 2.0
+    assert record["closed_form"] == record["recursive"] == 2 ** 6000 + 2 ** 3000
+
+
 def test_transport_point(capsys):
     code, out = run(capsys, "transport", "--n", "1", "--field", "3",
                     "--point", "0,1,0,0")

@@ -1,3 +1,4 @@
+import builtins
 import random
 from fractions import Fraction
 
@@ -12,6 +13,9 @@ from quadrics.errors import (
     SingularMatrix,
     WrongShape,
 )
+from quadrics import fields
+from quadrics.action import GroupContext
+from quadrics.cli import main
 from quadrics.fields import Field, FieldElement
 from quadrics.quadform import (
     SHAPES,
@@ -69,6 +73,105 @@ def test_eval_b_closed_forms():
     e3 = odd2.basis_vector(2)
     assert odd2.eval_b(e3, e3) == F2.zero       # the 2 x_3 y_3 term vanishes
     assert s.eval_b(s.basis_vector(0), s.basis_vector(2)) == F3.one
+
+
+# -- the generated form kernels against the definition ---------------------
+
+def _random_raws(f, rng, dim):
+    if f.is_finite:
+        return tuple(rng.randrange(f.q) for _ in range(dim))
+    return tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim))
+
+
+def _element_forms(s):
+    """q, B and t from s.pairs in FieldElement arithmetic, with no kernel."""
+    f = s.field
+
+    def elements(raws):
+        return [FieldElement(f, r) for r in raws]
+
+    def q(raws):
+        w = elements(raws)
+        return sum((w[i] * w[j] for i, j in s.pairs), f.zero).rep
+
+    def b(u_raws, w_raws):
+        u, w = elements(u_raws), elements(w_raws)
+        return sum((u[i] * w[j] + u[j] * w[i] for i, j in s.pairs), f.zero).rep
+
+    def t(raws):
+        w = elements(raws)
+        return (w[s.n] + w[2 * s.n + 1]).rep
+
+    return q, b, t
+
+
+@pytest.mark.parametrize("f", [F2, F3, F5, F4, F9, Q], ids=str)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generated_form_kernels_match_the_definition(f, shape, n):
+    """Over F_2 and GF(4) the odd shape's square slot gives B(e, e) = 2 = 0."""
+    s = SplitSpace(f, shape, n)
+    q, b, t = _element_forms(s)
+    rng = random.Random(f"{f}-{shape}-{n}")
+    basis = [s.basis_vector(i).raws for i in range(s.dim)]
+    randoms = [_random_raws(f, rng, s.dim) for _ in range(40)]
+    sums = [tuple(map(f.raw_add, x, y)) for x in basis for y in basis]
+    for w in randoms + basis + sums:
+        assert s.raw_q(w) == q(w)
+        if shape == "pointed_even":
+            assert s.raw_trace(w) == t(w)
+    for u, w in list(zip(randoms, randoms[1:])) + [(x, y) for x in basis for y in basis]:
+        assert s.raw_b(u, w) == b(u, w)
+
+
+@pytest.mark.parametrize("f", [F2, F3, F5, F4, F9, Q], ids=str)
+def test_lincomb_matches_add_and_mul(f):
+    rng = random.Random(str(f))
+    for _ in range(60):
+        x, y = _random_raws(f, rng, 7), _random_raws(f, rng, 7)
+        a, b = _random_raws(f, rng, 2)
+        for a, b in ((a, b), (1, b), (a, 0)):
+            expected = tuple(f.raw_add(f.raw_mul(a, s), f.raw_mul(b, t))
+                             for s, t in zip(x, y))
+            assert f.raw_lincomb(a, x, b, y) == expected
+
+
+# The (n, field) cells of the benchmark's job lists and the rational ranks.
+BENCHMARK_CELLS = [(1, "2"), (1, "3"), (1, "2^2"), (1, "5"), (1, "7"), (1, "3^2"),
+                   (2, "2"), (2, "3"), (2, "2^4"), (3, "5"), (2, "3^2"), (2, "7"),
+                   (1, "2^4"), (2, "5"), (2, "2^2"), (3, "3"), (1, "Q"), (2, "Q")]
+
+
+@pytest.fixture
+def compiled_sources(monkeypatch):
+    """The sources compiled from here on, with the kernel code cache empty."""
+    sources = []
+    compile_ = builtins.compile
+
+    def counted(source, *args, **kwargs):
+        sources.append(source)
+        return compile_(source, *args, **kwargs)
+
+    fields._compiled.cache_clear()
+    monkeypatch.setattr(builtins, "compile", counted)
+    yield sources
+    fields._compiled.cache_clear()
+
+
+def test_construction_compiles_nothing(compiled_sources):
+    for n, spec in BENCHMARK_CELLS:
+        field = Field.parse(spec)
+        GroupContext(field, n)
+        for shape in SHAPES:
+            SplitSpace(field, shape, n)
+    assert compiled_sources == []
+
+
+def test_count_compiles_each_source_once(compiled_sources, capsys):
+    for _ in range(2):
+        assert main(["count", "--n", "2", "--field", "3"]) == 0
+    # q and the trace on the pointed even space, each compiled on first use
+    assert len(compiled_sources) == len(set(compiled_sources)) == 2
 
 
 def test_polarization_identity_exhaustive():
