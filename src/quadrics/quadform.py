@@ -9,11 +9,11 @@ Three shapes of split space over a field F:
 The pointed even space carries the distinguished vector 1 = e_{n+1} + e_{2n+2}
 with q(1) = 1 and the trace form t(x) = B(x, 1) = x_{n+1} + x_{2n+2}.
 
-q, B and t are each one straight-line kernel f(u, w) = sum of u_i w_j over
+q and B are each one straight-line kernel f(u, w) = sum of u_i w_j over
 index pairs, generated by Field.bilinear on a space's first call and then
 kept on it: q(w) = f(w, w) over the hyperbolic pairs (and the odd square
-slot), B(u, w) = f(u, w) over those pairs and their swaps, and t(w) = f(w, 1)
-over the two trace slots.  A reflection r_v(w) = w - c v is one call to the
+slot), and B(u, w) = f(u, w) over those pairs and their swaps.  The trace
+is one field addition.  A reflection r_v(w) = w - c v is one call to the
 field's linear-combination kernel raw_lincomb.
 
 A matrix m is tested against q through its Gram data: q of each column and B
@@ -130,7 +130,6 @@ def _pairs(shape, n):
 _KERNEL_PAIRS = {
     "_q": lambda s: s.pairs,
     "_b": lambda s: s.pairs + tuple((j, i) for i, j in s.pairs),
-    "_t": lambda s: ((s.n, s.n), (2 * s.n + 1, 2 * s.n + 1)),
 }
 
 
@@ -138,7 +137,7 @@ class SplitSpace:
     """A split quadratic space of one of the three shapes above; its form
     kernels are built on first use, so constructing it compiles nothing."""
 
-    __slots__ = ("field", "shape", "n", "dim", "pairs", "_q", "_b", "_t", "_one")
+    __slots__ = ("field", "shape", "n", "dim", "pairs", "_q", "_b")
 
     def __init__(self, field, shape, n):
         if shape not in SHAPES:
@@ -226,16 +225,13 @@ class SplitSpace:
     # -- the form, its polarization, and the trace -------------------------
 
     def __getattr__(self, name):
-        """An unset kernel slot (_q, _b, _t) or the raws of 1 (_one): built
-        here on first use and kept in the slot."""
-        if name == "_one":
-            value = self.one_vector().raws
-        elif name in _KERNEL_PAIRS:
-            value = self.field.bilinear(_KERNEL_PAIRS[name](self))
-        else:
+        """An unset kernel slot (_q, _b): built here on first use and kept
+        in the slot."""
+        if name not in _KERNEL_PAIRS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        setattr(self, name, value)
-        return value
+        kernel = self.field.bilinear(_KERNEL_PAIRS[name](self))
+        setattr(self, name, kernel)
+        return kernel
 
     def raw_q(self, raws):
         return self._q(raws, raws)
@@ -271,7 +267,7 @@ class SplitSpace:
         return FieldElement(self.field, self.raw_trace(v.raws))
 
     def raw_trace(self, raws):
-        return self._t(raws, self._one)
+        return self.field.raw_add(raws[self.n], raws[2 * self.n + 1])
 
     def __eq__(self, other):
         return (isinstance(other, SplitSpace) and other.field == self.field

@@ -18,7 +18,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import FieldElement, is_prime_power
-from .guards import DIGIT_GUARD, ENUM_GUARD
+from .guards import ENUM_GUARD, digit_limit
 from .quadform import SplitSpace, Vector
 
 
@@ -221,16 +221,28 @@ def _sweep_quadric(space):
 def count_closed_form(n, q):
     """q^(2n) + q^n; the n = 0 quadric is two points."""
     _check_count_args(n, q)
-    return q ** (2 * n) + q ** n
+    return _closed_form(n, q)
 
 
 def count_recursive(n, q):
     """q^(2n-1)(q-1) + q * count(n-1), grounded at count(0) = 2."""
     _check_count_args(n, q)
+    for total in _recursive_counts(n, q):
+        pass
+    return total
+
+
+def _closed_form(n, q):
+    return q ** (2 * n) + q ** n
+
+
+def _recursive_counts(n, q):
+    """count(0), ..., count(n) from the recursion, in one pass."""
     total = 2
+    yield total
     for m in range(1, n + 1):
         total = q ** (2 * m - 1) * (q - 1) + q * total
-    return total
+        yield total
 
 
 def _check_count_args(n, q):
@@ -241,32 +253,30 @@ def _check_count_args(n, q):
 
 
 def _check_digits(n, q):
-    """Refuse a report whose count q^(2n) + q^n has more than DIGIT_GUARD
-    decimal digits, before computing it.  q^(2n) has floor(2n log10 q) + 1
-    digits and the sum at most one more, so only a count within a digit of
-    the guard is computed, to compare it with 10^DIGIT_GUARD exactly."""
+    """Refuse a report whose count q^(2n) + q^n has more decimal digits than
+    guards.digit_limit(), before computing it.  q^(2n) has floor(2n log10 q)
+    + 1 digits and the sum at most one more, so only a count within a digit
+    of the limit is computed, to compare it with 10^limit exactly."""
     _check_count_args(n, q)
+    limit = digit_limit()
+    if limit is None:
+        return
     size = 2 * n * log10(q)
-    if size > DIGIT_GUARD + 1 or (size > DIGIT_GUARD - 1
-                                  and count_closed_form(n, q) >= 10 ** DIGIT_GUARD):
+    if size > limit + 1 or (size > limit - 1 and _closed_form(n, q) >= 10 ** limit):
         raise TooLarge(f"q^(2n) + q^n has about {int(size) + 1} digits at n = {n}, "
-                       f"q = {q}, over the {DIGIT_GUARD}-digit guard on printed counts")
+                       f"q = {q}, over the interpreter's {limit}-digit limit on "
+                       f"printing an int")
 
 
 def recursion_report(n, q):
-    """The closed form against the recursion at every rank m <= n, built in
-    one pass: q^m and q^(2m) are carried from rank to rank, and count(m) =
-    q^(2m-1)(q-1) + q count(m-1) from count(m-1), so the work is linear in
-    n big-integer steps.  The size is checked first."""
+    """The closed form against the recursion at every rank m <= n.  The
+    recursion runs once and yields every rank's count, so the work is one
+    power per rank rather than a recursion per rank; the size is checked
+    first."""
     _check_digits(n, q)
-    q_m = q_2m = 1
-    closed = recursive = 2   # count(0): the quadric is two points
     ok = True
-    for _ in range(n):
-        q_m *= q
-        q_2m *= q * q
-        closed = q_2m + q_m
-        recursive = q_2m // q * (q - 1) + q * recursive
+    for m, recursive in enumerate(_recursive_counts(n, q)):
+        closed = _closed_form(m, q)
         ok = ok and closed == recursive
     return {"check": "recursion", "n": n, "q": q,
             "closed_form": closed, "recursive": recursive,

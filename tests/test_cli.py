@@ -2,11 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadrics import quadric
 from quadrics.cli import main
 
 
@@ -129,6 +131,55 @@ def test_count_at_the_digit_guard_prints():
     record = json.loads(buf.getvalue())
     assert code == 0 and record["closed_form"] == 2 ** 14284 + 2 ** 7142
     assert len(str(record["closed_form"])) == 4300 == len(str(record["recursive"]))
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Set the interpreter's int-to-string limit for one test, then restore it."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def test_digit_guard_follows_a_lowered_limit(capsys, int_digit_limit):
+    """At the floor of 640 digits, 2^2126 + 2^1063 (640 digits) prints and
+    the next rank, 641 digits, is refused before it is computed."""
+    int_digit_limit(640)
+    code, out = run(capsys, "count", "--n", "1063", "--q", "2")
+    assert code == 0 and json.loads(out)["closed_form"] == 2 ** 2126 + 2 ** 1063
+    for argv in (["count", "--n", "1064", "--q", "2"],
+                 ["verify", "recursion", "--n", "1064", "--q", "2"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: q^(2n) + q^n has about 641 digits")
+
+
+@pytest.mark.parametrize("limit", [0, 5000])
+def test_digit_guard_follows_a_raised_or_lifted_limit(capsys, int_digit_limit, limit):
+    """0 lifts the limit; either way 2^14286 + 2^7143, 4301 digits, prints."""
+    int_digit_limit(limit)
+    code, out = run(capsys, "verify", "recursion", "--n", "7143", "--q", "2")
+    record = json.loads(out)
+    assert code == 0 and record["all_ranks_match"]
+    assert record["closed_form"] == record["recursive"] == 2 ** 14286 + 2 ** 7143
+
+
+def test_verify_recursion_checks_the_library_recursion(capsys, monkeypatch):
+    """count_recursive and verify recursion share one recursion, and every
+    rank is compared: a fault at rank 3 alone fails the check at n = 5."""
+    honest = quadric._recursive_counts
+
+    def faulty(n, q):
+        for m, total in enumerate(honest(n, q)):
+            yield total + (m == 3)
+
+    monkeypatch.setattr(quadric, "_recursive_counts", faulty)
+    assert quadric.count_recursive(3, 2) == quadric.count_closed_form(3, 2) + 1
+    code, out = run(capsys, "verify", "recursion", "--n", "5", "--q", "2")
+    record = json.loads(out)
+    assert code == 1 and not record["all_ranks_match"] and not record["pass"]
+    assert record["closed_form"] == record["recursive"]
 
 
 @pytest.mark.parametrize("argv,digest", [
