@@ -24,13 +24,15 @@ Every orbit here, the chain's and orbit()'s, is grown by one routine,
 grow_orbit.  Column enumeration is the cross-check.
 
 The similitude orbit of 1 grows no orbit: each expected vector is certified
-by a closed-form word of two reflections, checked by applying it, and
-grow_orbit runs only for the vectors left without one (over F_2), seeded
-with those certified: (2, 7) takes 0.33-0.5 s in-process (2 cores, Python
-3.11), its sweep on the compiled form kernels and raw_lincomb.
+by a word of at most two reflections from transport._two_reflections, the
+package's one two-case rule, checked by applying it with quadform.raw_word,
+and grow_orbit runs only for the vectors left without one (over F_2),
+seeded with those certified: (2, 7) takes 0.3-0.5 s in-process (2 cores,
+Python 3.11), its sweep on the compiled form kernels and raw_lincomb.
 """
 
 import random
+from functools import partial
 from itertools import chain, product
 from math import prod
 from operator import itemgetter
@@ -41,6 +43,7 @@ from .errors import (
     NotAMember,
     NotOnQuadric,
     QuadricsError,
+    SearchExhausted,
     TooLarge,
 )
 from .fields import is_prime_power
@@ -51,10 +54,11 @@ from .quadform import (
     Vector,
     _dickson,
     is_isometry,
-    raw_reflect,
+    raw_word,
     word_matrix,
 )
 from .quadric import AmbientQuadricPoint, _quadric_raws
+from .transport import _two_reflections, dickson_fixer
 
 
 class GroupContext:
@@ -311,12 +315,8 @@ def orbit(ctx, force=False):
     space = ctx.space
     gens = [(v.raws, f.raw_inv(space.raw_q(v.raws)))
             for v in trace_zero_reflection_vectors(ctx, force=force)]
-    a, inv_a = gens[0]
-
-    def pair(g, w):   # r_a r_v w for g = (v, 1/q(v))
-        return raw_reflect(space, a, inv_a, raw_reflect(space, *g, w))
-
-    found = grow_orbit({ctx.x0.raws: (None, None)}, gens, gens, pair)
+    pairs = [[gens[0], g] for g in gens]   # r_a r_v
+    found = grow_orbit({ctx.x0.raws: (None, None)}, pairs, pairs, partial(raw_word, space))
     return [AmbientQuadricPoint(space, Vector(f, w)) for w in found]
 
 
@@ -587,60 +587,21 @@ def verify_homogeneous(field, n, force=False):
     return report
 
 
-def _words_to_one(space):
-    """word(w): for w with q(w) = 1, a two-reflection word [(v_1, 1/q(v_1)),
-    (v_2, 1/q(v_2))] whose product r_{v_1} r_{v_2} moves w to the vector 1
-    (the transport module's two-case recipe), or None if case 2 finds no
-    auxiliary.  No q is evaluated: each norm comes from an identity.
-
-      case 1:  q(w - 1) = 2 - t(w) != 0: r_u r_{w-1}, u = e_1 + e_{n+2},
-               which has q(u) = 1 and t(u) = 0, so r_u fixes 1;
-      case 2:  r_z r_{w'} with w' = w - r_z(1) for the first auxiliary z
-               with B(z, w) != 0, where q(w') = B(z, w) B(z, 1) / q(z).
-
-    The auxiliaries are z = 1 + s e_{n+1} + e_k with k not a trace slot, so
-    q(z) = 1 + s and B(z, 1) = 2 + s.  In odd characteristic z = 1 (s = 0,
-    no e_k) serves every case-2 w, since B(1, w) = t(w) = 2.  In
-    characteristic 2 t(w) = 0 there, and s runs over the elements outside
-    F_2 and k over the 2n other slots: once q >= 4 some pair gives
-    B(z, w) = s w_{2n+2} + w_{k'} != 0, k' the partner of k.  Over F_2
-    there is none."""
+def _auxiliaries_to_one(space):
+    """The raw letters (z, 1/q(z)) of the rule's case 2 towards 1, for w with
+    q(w) = 1 and q(w - 1) = 2 - t(w) = 0: z = 1 + s e_{n+1} + e_k with k not
+    a trace slot, so q(z) = 1 + s.  In odd characteristic z = 1 (s = 0, no
+    e_k) serves every such w, since B(1, w) = t(w) = 2.  In characteristic 2
+    t(w) = 0 there, and s runs over the elements outside F_2 and k over the
+    2n other slots: once q >= 4 some pair gives B(z, w) = s w_{2n+2} + w_{k'}
+    != 0, k' the partner of k.  Over F_2 there is none."""
     f, n = space.field, space.n
-    add, sub, mul, inv = f.raw_add, f.raw_sub, f.raw_mul, f.raw_inv
-    raw_b, raw_trace, lincomb = space.raw_b, space.raw_trace, f.raw_lincomb
     one = space.one_vector().raws
-    two, minus_one = add(1, 1), f.raw_neg(1)
-    u = tuple(1 if i in (0, n + 1) else 0 for i in range(space.dim))
     if f.characteristic != 2:
-        shifts = [(0, None)]
-    else:
-        other = [k for k in range(space.dim) if k not in (n, 2 * n + 1)]
-        shifts = [(s, k) for s in range(2, f.q) for k in other]
-    auxiliaries = []   # (z, 1/q(z), B(z, 1)/q(z), r_z(1))
-    for s, k in shifts:
-        z = tuple(add(o, s) if i == n else 1 if i == k else o for i, o in enumerate(one))
-        inv_qz = inv(add(1, s))
-        auxiliaries.append((z, inv_qz, mul(add(two, s), inv_qz),
-                            raw_reflect(space, z, inv_qz, one)))
-
-    def word(w):
-        q_diff = sub(two, raw_trace(w))   # q(w - 1)
-        if q_diff:
-            return [(u, 1), (lincomb(1, w, minus_one, one), inv(q_diff))]
-        for z, inv_qz, ratio, z_one in auxiliaries:
-            bzw = raw_b(z, w)
-            if bzw:
-                return [(z, inv_qz), (lincomb(1, w, minus_one, z_one), inv(mul(bzw, ratio)))]
-        return None
-
-    return word
-
-
-def _apply_word(space, word, w):
-    """r_{v_1} ... r_{v_m} w for a word [(v_1, 1/q(v_1)), ...], right to left."""
-    for v, inv_q in reversed(word):
-        w = raw_reflect(space, v, inv_q, w)
-    return w
+        return [(one, 1)]
+    other = [k for k in range(space.dim) if k not in (n, 2 * n + 1)]
+    return [(tuple(f.raw_add(o, s) if i == n else 1 if i == k else o for i, o in enumerate(one)),
+             f.raw_inv(f.raw_add(1, s))) for s in range(2, f.q) for k in other]
 
 
 def verify_similitude_orbit(field, n, force=False):
@@ -650,23 +611,26 @@ def verify_similitude_orbit(field, n, force=False):
     is a nonzero square: the expected set.  The orbit never leaves it
     (scalars scale q by c^2, pairs preserve it).
 
-    One sweep evaluates q once per vector, counts the nonzero norms and
-    collects the expected set.  Each expected v, with q(v) = c^2, is
-    certified by a checked word: w = v / c has q(w) = 1, _words_to_one gives
-    two reflections moving w to 1, and applying them to w must give 1.  Two
-    reflections are a product of pairs, and with the scalar c they put v in
-    the orbit; so when every expected vector is certified the orbit is the
-    expected set, with no orbit grown.
+    One sweep evaluates q once per vector, counts the nonzero norms and the
+    expected vectors, and keeps only those left uncertified.  Each expected
+    v, q(v) = c^2, is certified by a checked pair: w = v / c has q(w) = 1,
+    transport._two_reflections moves w to 1 with _auxiliaries_to_one, and
+    its letters applied to w must give 1.  Case 2's letters are a pair; case
+    1's one letter r_{w-1} is followed by r_u, u = e_1 + e_{n+2}, which
+    fixes 1 (checked once, before the sweep).  With the scalar c the pair
+    puts v in the orbit; so when every expected vector is certified the
+    orbit is the expected set, with no orbit grown.
 
-    When some vector has no word (over F_2, where case 2 has no auxiliary),
-    grow_orbit grows the orbit from 1 and the certified vectors, from the
-    scalars, then from one reflection pair r_a r_v at a time, until it
+    When some vector is left uncertified (over F_2, where case 2 has no
+    auxiliary), a second sweep rebuilds the expected set and the directions,
+    and grow_orbit grows the orbit from 1 and the certified vectors, from
+    the scalars, then from one reflection pair r_a r_v at a time, until it
     reaches the expected size or the pairs run out.  The directions are the
-    normalized nonzero-norm vectors in sweep order, with q evaluated again on
-    each: a is the first, the others follow those with v_1 != 0 first, since
-    a_1 = 0 and a pair of directions with v_1 = 0 fixes e_{n+2}.  Every seed
-    lies in the orbit, so equal sizes are equal sets, and if the pairs run
-    out first the orbit is that of the group all pairs generate."""
+    normalized nonzero-norm vectors in sweep order: a is the first, the
+    others follow those with v_1 != 0 first, since a_1 = 0 and a pair of
+    directions with v_1 = 0 fixes e_{n+2}.  Every seed lies in the orbit, so
+    equal sizes are equal sets, and if the pairs run out first the orbit is
+    that of the group all pairs generate."""
     space = SplitSpace.pointed_even(field, n)
     f = space.field
     d = space.dim
@@ -675,14 +639,14 @@ def verify_similitude_orbit(field, n, force=False):
     if not force and f.q ** d > VECTOR_GUARD:
         raise TooLarge(f"{f.q}^{d} vectors exceeds the sweep guard")
 
-    mul, inv, raw_q, lincomb = f.raw_mul, f.raw_inv, space.raw_q, f.raw_lincomb
+    inv, raw_q, lincomb = f.raw_inv, space.raw_q, f.raw_lincomb
     # 1/c for each square c^2 != 0 (in characteristic 2 every norm is a square)
     inv_root = {a: inv(c) for a in range(1, f.q) if (c := f.raw_sqrt(a)) is not None}
-    word = _words_to_one(space)
     one = space.one_vector().raws
-    nonzero_norm = 0
-    expected = set()
-    uncertified = set()
+    auxiliaries = _auxiliaries_to_one(space)
+    u_fixes_one = raw_word(space, [(dickson_fixer(space).raws, 1)], one) == one   # q(u) = 1
+    nonzero_norm = expected = 0
+    uncertified = []
     for raws in product(range(f.q), repeat=d):
         qa = raw_q(raws)
         if not qa:
@@ -691,38 +655,47 @@ def verify_similitude_orbit(field, n, force=False):
         inv_c = inv_root.get(qa)
         if inv_c is None:
             continue
-        expected.add(raws)
+        expected += 1
         w = lincomb(inv_c, raws, 0, raws)   # v / c
-        letters = word(w)
-        if letters is None or _apply_word(space, letters, w) != one:
-            uncertified.add(raws)
+        try:
+            letters, path = _two_reflections(space, w, one, 1, auxiliaries)
+            certified = (u_fixes_one or path != "case1") and raw_word(space, letters, w) == one
+        except SearchExhausted:
+            certified = False
+        if not certified:
+            uncertified.append(raws)
 
-    seen = expected
+    orbit_size, passed = expected, True
     if uncertified:
-        seen = dict.fromkeys(chain((one,), expected - uncertified), (None, None))
-        directions = [(raws, inv(qa)) for raws in product(range(f.q), repeat=d)
-                      if next((a for a in raws if a), None) == 1 and (qa := raw_q(raws))]
-        (a, inv_a), *rest = directions   # r_a r_a is the identity
-        rest.sort(key=lambda item: not item[0][0])   # stable: v_1 != 0 first
+        members, directions = set(), []
+        for raws in product(range(f.q), repeat=d):
+            qa = raw_q(raws)
+            if qa in inv_root:
+                members.add(raws)
+            if qa and next(a for a in raws if a) == 1:
+                directions.append((raws, inv(qa)))
+        seen = dict.fromkeys(chain((one,), members.difference(uncertified)), (None, None))
+        a, *rest = directions   # r_a r_a is the identity
+        rest.sort(key=lambda letter: not letter[0][0])   # stable: v_1 != 0 first
+        pairs = [[a, v] for v in rest]   # r_a r_v
 
-        def image(g, w):   # w times the scalar g, or r_a r_v w for g = (v, 1/q(v))
-            if isinstance(g, int):
-                return tuple(mul(g, x) for x in w)
-            return raw_reflect(space, a, inv_a, raw_reflect(space, *g, w))
+        def image(g, w):   # w times the scalar g, or the pair g applied to w
+            return lincomb(g, w, 0, w) if isinstance(g, int) else raw_word(space, g, w)
 
         maps = []
-        for g in chain(range(2, f.q), rest):
-            if len(seen) == len(expected):
+        for g in chain(range(2, f.q), pairs):
+            if len(seen) == expected:
                 break
             maps.append(g)
-            grow_orbit(seen, (g,), maps, image, stop=len(expected))
+            grow_orbit(seen, (g,), maps, image, stop=expected)
+        orbit_size, passed = len(seen), seen.keys() == members
     report = {
         "check": "similitude",
         "n": n,
         "field": str(field),
-        "orbit_size": len(seen),
+        "orbit_size": orbit_size,
         "nonzero_norm_vectors": nonzero_norm,
-        "expected_orbit_size": len(expected),
-        "pass": not uncertified or seen.keys() == expected,
+        "expected_orbit_size": expected,
+        "pass": passed,
     }
     return report

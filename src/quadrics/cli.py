@@ -11,7 +11,7 @@ import sys
 
 from .action import GroupContext, verify_homogeneous, verify_similitude_orbit
 from .errors import NotOnQuadric, QuadricsError, TooLarge
-from .fields import Field, is_prime_power
+from .fields import Field
 from .quadric import count_report, recursion_report
 from .spinfactor import verify_projective_space
 from .transport import quadric_transport, transport_all
@@ -78,12 +78,8 @@ def _field_of(args):
 
 
 def _cmd_count(args):
-    if args.q is None:
-        record = count_report(args.n, field=Field.parse(args.field), force=args.force)
-    elif is_prime_power(args.q) is None:
-        raise ValueError(f"{args.q} is not a prime power")
-    else:
-        record = count_report(args.n, q=args.q)
+    field = Field.parse(args.field) if args.q is None else None
+    record = count_report(args.n, field=field, q=args.q, force=args.force)
     return record, not record["match"]
 
 
@@ -91,7 +87,7 @@ def _cmd_verify(args):
     kind = args.kind
     if kind == "recursion":
         q = args.q if args.q is not None else (_field_of(args).q)
-        if q is None or is_prime_power(q) is None:
+        if q is None:
             raise ValueError("recursion check needs a prime power --q or finite --field")
         record = recursion_report(args.n, q)
         return record, not record["pass"]

@@ -101,13 +101,14 @@ class Field:
             self.q = None
             self.modulus = None
         else:
-            if not is_prime(p):
-                raise NonPrimeCharacteristic(f"{p} is not prime")
+            # the caps first: is_prime is a trial division up to sqrt(p)
             if k < 1 or k > DEGREE_CAP:
                 raise UnsupportedSize(f"extension degree {k} not supported (max {DEGREE_CAP})")
             q = p ** k
             if q > ORDER_CAP:
                 raise UnsupportedSize(f"field order {q} exceeds cap {ORDER_CAP}")
+            if not is_prime(p):
+                raise NonPrimeCharacteristic(f"{p} is not prime")
             self.q = q
             if kind == "prime":
                 self.modulus = None
@@ -152,6 +153,8 @@ class Field:
 
     @classmethod
     def of_order(cls, q):
+        if q > ORDER_CAP:   # before is_prime_power's trial division
+            raise UnsupportedSize(f"field order {q} exceeds cap {ORDER_CAP}")
         pk = is_prime_power(q)
         if pk is None:
             raise NonPrimeCharacteristic(f"{q} is not a prime power")

@@ -14,7 +14,8 @@ index pairs, generated by Field.bilinear on a space's first call and then
 kept on it: q(w) = f(w, w) over the hyperbolic pairs (and the odd square
 slot), and B(u, w) = f(u, w) over those pairs and their swaps.  The trace
 is one field addition.  A reflection r_v(w) = w - c v is one call to the
-field's linear-combination kernel raw_lincomb.
+field's linear-combination kernel raw_lincomb, and raw_word applies a word
+of raw letters (v, 1/q(v)) one reflection at a time.
 
 A matrix m is tested against q through its Gram data: q of each column and B
 of each pair of columns, against the same values on the basis.  is_isometry
@@ -429,17 +430,21 @@ def raw_reflect(space, v, inv_q, w):
     return f.raw_lincomb(1, w, f.raw_neg(c), v)
 
 
+def raw_word(space, letters, w):
+    """r_{v_1} ... r_{v_m} w on raw tuples for letters [(v_1, 1/q(v_1)), ...],
+    applied right to left; nothing is checked."""
+    for v, inv_q in reversed(letters):
+        w = raw_reflect(space, v, inv_q, w)
+    return w
+
+
 def word_matrix(space, word, scalar=None):
     """The matrix of r_{v_1} ... r_{v_m}, times the scalar c if one is given:
     column j is the word applied, right to left, to c e_{j+1}."""
-    steps = [_reflector(space, v) for v in reversed(word)]
+    letters = [_reflector(space, v) for v in word]
     c = 1 if scalar is None else space.field.element(scalar).rep
-    cols = []
-    for j in range(space.dim):
-        w = (0,) * j + (c,) + (0,) * (space.dim - 1 - j)
-        for v, inv_q in steps:
-            w = raw_reflect(space, v, inv_q, w)
-        cols.append(w)
+    d = space.dim
+    cols = [raw_word(space, letters, (0,) * j + (c,) + (0,) * (d - 1 - j)) for j in range(d)]
     return GroupElement.from_columns(space.field, cols)
 
 

@@ -306,9 +306,10 @@ def count_report(n, field=None, q=None, force=False):
         if not field.is_finite:
             raise InfiniteField("cannot count points over the rationals")
         q = field.q
-    _check_digits(n, q)
-    closed = count_closed_form(n, q)
-    rec = count_recursive(n, q)
+    _check_digits(n, q)   # checks n and q once for the whole report
+    closed = _closed_form(n, q)
+    for rec in _recursive_counts(n, q):
+        pass
     report = {"n": n, "field": str(field) if field is not None else str(q),
               "closed_form": closed, "recursive": rec}
     if field is not None and n >= 1:

@@ -1,23 +1,26 @@
 """Constructive transitivity: reflection words realizing prescribed motions.
 
-Two-case recipe for moving x to y with q(x) = q(y):
+Two-case rule for moving x to y with q(x) = q(y) = q:
 
-  case 1:  q(x - y) invertible: the single reflection r_{x-y} works.
+  case 1:  q(x - y) = 2q - B(x, y) invertible: the single reflection r_{x-y}.
   case 2:  q(x - y) = 0: pick w with q(w), B(x, w), B(y, w) all nonzero and
            set w' = x - r_w(y); then q(w') = B(w,x) B(w,y) / q(w) != 0 and
            r_w(r_{w'}(x)) = y.
 
-_two_reflections is the recipe's one implementation.  reflection_transport
+_two_reflections is the rule's one implementation, on raw letters
+(v, 1/q(v)) with the norms from these identities, behind the three
+transports here and action.verify_similitude_orbit.  reflection_transport
 and similitude_transport draw w from the structured vectors and a sweep.
 For quadric points every reflection vector has trace 0, so the assembled
-element fixes 1, and there is no search: the recipe moves the point p to
+element fixes 1, and there is no search: the rule moves the point p to
 x_0 with the one auxiliary a = e_{n+1} - e_{2n+2}, which serves in case 2
 (p_{n+1} = 0) over every field, and the reversed word moves x_0 to p.  A
 case-1 word is followed by r_{u*}, u* = e_1 + e_{n+2} (which fixes both 1
 and x_0), to land in the Dickson-0 model.
 Each certificate costs O(d^3).  TransportCertificate.verify is its one check:
-construction runs it, and so can any later caller.  It makes one Gram pass
-for the similitude factor and computes the Dickson invariant from the matrix.
+construction runs it, and so can any later caller.  It evaluates q on each
+letter, makes one Gram pass for the similitude factor and computes the
+Dickson invariant from the matrix.
 """
 
 from itertools import product
@@ -27,12 +30,13 @@ from .errors import (
     InvariantViolation,
     IsotropicVector,
     NonSquareNorm,
+    NonUnitNorm,
     NormMismatch,
     NotOnQuadric,
     SearchExhausted,
 )
 from .fields import FieldElement
-from .quadform import Vector, _dickson, reflect, similitude_factor, word_matrix
+from .quadform import Vector, _dickson, similitude_factor, word_matrix
 from .quadric import AmbientQuadricPoint, enumerate_quadric, is_on_quadric
 
 DEFAULT_HEIGHT = 5
@@ -45,7 +49,9 @@ class TransportCertificate:
     r_{v_1} ... r_{v_m} composed with the scalar, which commutes.  Applying
     it to `source` yields `target`.  `verify()` is the one check: the call
     made at construction records the Dickson invariant it computes and sets
-    `verified`; each later call recomputes everything from the matrix.
+    `verified`; each later call recomputes everything from the matrix.  A
+    word vector with q = 0 fails it, so construction raises
+    InvariantViolation for it too.
     """
 
     __slots__ = ("space", "word", "scalar", "source", "target", "matrix",
@@ -58,7 +64,11 @@ class TransportCertificate:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "path", path)
-        object.__setattr__(self, "matrix", word_matrix(space, self.word, scalar))
+        try:
+            matrix = word_matrix(space, self.word, scalar)
+        except NonUnitNorm:
+            matrix = None   # verify() stops at the letter with q = 0
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "verified", False)
         if not self.verify():
             raise InvariantViolation("transport certificate failed verification")
@@ -122,46 +132,57 @@ def _candidates(space):
     yield from (Vector(f, raws) for raws in product(coords, repeat=space.dim))
 
 
-def _two_reflections(space, x, y, auxiliaries):
-    """(word, path) of the two-case recipe moving x to y: [] when x = y,
-    [x - y] in case 1, else [w, x - r_w(y)] for the first w drawn from
-    auxiliaries with q(w), B(x, w), B(y, w) all nonzero."""
+def _two_reflections(space, x, y, q, auxiliaries):
+    """(letters, path) of the two-case rule moving x to y, raw tuples with
+    q(x) = q(y) = q.  The letters [(v, 1/q(v)), ...] act right to left:
+    [] when x = y, [x - y] in case 1, else [w, x - r_w(y)] for the first
+    letter (w, 1/q(w)) of auxiliaries with B(x, w) and B(y, w) nonzero.
+    No q is evaluated: q(x - y) = 2q - B(x, y), and r_w(y) = y - c w with
+    c = B(w, y) / q(w), so x - r_w(y) = (x - y) + c w has norm B(w, x) c."""
     if x == y:
         return [], "identity"
-    qx, qy = space.raw_q(x.raws), space.raw_q(y.raws)
-    if qx != qy:
-        raise NormMismatch(f"q(x) = {qx} but q(y) = {qy}")
-    diff = x - y
-    if space.raw_q(diff.raws):
-        return [diff], "case1"
-    if not (any(space.raw_polar(x.raws)) and any(space.raw_polar(y.raws))):
-        auxiliaries = ()    # B(x, .) or B(y, .) vanishes: no w can serve
-    w = next((w for w in auxiliaries if space.raw_q(w.raws)
-              and space.raw_b(x.raws, w.raws) and space.raw_b(y.raws, w.raws)), None)
-    if w is None:
-        raise SearchExhausted("no auxiliary vector w with q(w), B(x,w), B(y,w) all nonzero")
-    w_prime = x - reflect(space, w, y)
-    if not space.raw_q(w_prime.raws):
-        # q(w') = B(w,x) B(w,y) / q(w) is nonzero under the search
-        # conditions; reaching this line would falsify that identity
-        raise InvariantViolation("two-reflection auxiliary vector has q = 0")
-    return [w, w_prime], "case2"
+    f = space.field
+    diff = f.raw_lincomb(1, x, f.raw_neg(1), y)
+    q_diff = f.raw_sub(f.raw_add(q, q), space.raw_b(x, y))
+    if q_diff:
+        return [(diff, f.raw_inv(q_diff))], "case1"
+    if any(space.raw_polar(x)) and any(space.raw_polar(y)):   # else no w can serve
+        raw_b, mul, inv = space.raw_b, f.raw_mul, f.raw_inv
+        for w, inv_qw in auxiliaries:
+            bwx = raw_b(w, x)
+            if bwx and (bwy := raw_b(w, y)):
+                c = mul(bwy, inv_qw)
+                return [(w, inv_qw), (f.raw_lincomb(1, diff, c, w), inv(mul(bwx, c)))], "case2"
+    raise SearchExhausted("no auxiliary vector w with q(w), B(x,w), B(y,w) all nonzero")
 
 
 # -- the transport operations -------------------------------------------------
+
+def _transport_word(space, x, y, candidates):
+    """(word, path) of the rule moving the vector x to the vector y: q(x) =
+    q(y) is checked here, and candidates with q = 0 are skipped."""
+    qx, qy = space.raw_q(x.raws), space.raw_q(y.raws)
+    if qx != qy:
+        raise NormMismatch(f"q(x) = {qx} but q(y) = {qy}")
+    raw_q, inv = space.raw_q, space.field.raw_inv
+    auxiliaries = ((v.raws, inv(qv)) for v in candidates if (qv := raw_q(v.raws)))
+    letters, path = _two_reflections(space, x.raws, y.raws, qx, auxiliaries)
+    return [Vector(space.field, v) for v, _ in letters], path
+
 
 def reflection_transport(space, x, y):
     """A verified word of at most two reflections moving x to y, which need
     q(x) = q(y); case 2 searches w over _candidates."""
     space._check_dim(x)
     space._check_dim(y)
-    word, path = _two_reflections(space, x, y, _candidates(space))
+    word, path = _transport_word(space, x, y, _candidates(space))
     return TransportCertificate(space, word, None, x, y, path)
 
 
 def dickson_fixer(ctx):
-    """u* = e_1 + e_{n+2}: q(u*) = 1, t(u*) = 0, B(u*, x_0) = 0, so r_{u*}
-    fixes both 1 and x_0 and flips the Dickson invariant."""
+    """u* = e_1 + e_{n+2} for a GroupContext or its pointed even space:
+    q(u*) = 1, t(u*) = 0, B(u*, x_0) = 0, so r_{u*} fixes both 1 and x_0
+    and flips the Dickson invariant."""
     vals = [0] * ctx.dim
     vals[0] = 1
     vals[ctx.n + 1] = 1
@@ -180,7 +201,7 @@ def case2_vector(ctx):
 
 def quadric_transport(ctx, point):
     """A verified SO-model certificate moving x_0 to the given quadric point:
-    the recipe's word from the point to x_0, reversed, since
+    the rule's word from the point to x_0, reversed, since
     (r_w r_{w'})^{-1} = r_{w'} r_w, with trace-0 letters and no search."""
     space = ctx.space
     if isinstance(point, AmbientQuadricPoint):
@@ -193,7 +214,7 @@ def quadric_transport(ctx, point):
             raise NotOnQuadric(f"{target!r} is not on the quadric")
     try:
         # map defers building a until case 2 draws it
-        word, path = _two_reflections(space, target, ctx.x0, map(case2_vector, [ctx]))
+        word, path = _transport_word(space, target, ctx.x0, map(case2_vector, [ctx]))
     except SearchExhausted:
         raise InvariantViolation("case-2 vector a violated its guarantees") from None
     word.reverse()
@@ -223,7 +244,7 @@ def similitude_transport(space, v):
     if lam is None:
         raise NonSquareNorm(f"1/q(v) = {f.raw_inv(qv)} is not a square")
     scalar = FieldElement(f, lam)
-    word, path = _two_reflections(space, v.scale(scalar), one, _candidates(space))
+    word, path = _transport_word(space, v.scale(scalar), one, _candidates(space))
     return TransportCertificate(space, word, scalar, v, one, "scaled_" + path)
 
 

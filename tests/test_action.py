@@ -2,7 +2,13 @@ from itertools import product
 
 import pytest
 
-from quadrics.errors import InvalidPrimePower, NotAMember, NotOnQuadric, TooLarge
+from quadrics.errors import (
+    InvalidPrimePower,
+    NotAMember,
+    NotOnQuadric,
+    SearchExhausted,
+    TooLarge,
+)
 from quadrics.fields import Field
 from quadrics.quadform import (
     GroupElement,
@@ -10,16 +16,16 @@ from quadrics.quadform import (
     Vector,
     dickson,
     raw_reflect,
+    raw_word,
     reflection_matrix,
 )
 from quadrics.quadric import base_point, count_closed_form, enumerate_quadric
 from quadrics.action import (
     GroupContext,
     OrbitStabilizer,
-    _apply_word,
+    _auxiliaries_to_one,
     _normalize_raws,
     _trace_zero_sweep,
-    _words_to_one,
     act,
     enumerate_group,
     enumerate_isometries,
@@ -36,6 +42,7 @@ from quadrics.action import (
     verify_homogeneous,
     verify_similitude_orbit,
 )
+from quadrics.transport import _two_reflections, dickson_fixer
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -604,18 +611,15 @@ def test_similitude_orbit_stops_once_complete(monkeypatch, field, before):
     from 1; it stops when the orbit reaches the expected size, and directions
     with v_1 != 0 come first: under a quarter of the raw_reflect calls of
     the sweep-order BFS that closed the orbit under every map it had."""
-    monkeypatch.setattr("quadrics.action._words_to_one", lambda space: lambda w: None)
-    calls = 0
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return raw_reflect(*args)
+    def no_word(*args):
+        raise SearchExhausted("no word")
 
-    monkeypatch.setattr("quadrics.action.raw_reflect", counted)
+    monkeypatch.setattr("quadrics.action._two_reflections", no_word)
+    calls = counting_raw_reflect(monkeypatch)
     report = verify_similitude_orbit(field, 1)
     assert report["pass"]
-    assert calls < before / 4
+    assert 0 < calls[0] < before / 4
 
 
 @pytest.mark.parametrize("field,n", [(F3, 1), (F4, 1), (Field.of_order(9), 1), (F3, 2)],
@@ -634,7 +638,7 @@ def test_similitude_orbit_evaluates_q_once_per_vector(monkeypatch, field, n):
     assert calls == field.q ** (2 * n + 2)
 
 
-# -- the closed-form words of the similitude orbit --------------------------------
+# -- the two-reflection words of the similitude orbit ------------------------------
 
 F8 = Field.of_order(8)
 F9 = Field.of_order(9)
@@ -643,6 +647,36 @@ F9 = Field.of_order(9)
 def two_minus_trace(space, w):
     f = space.field
     return f.raw_sub(f.raw_add(1, 1), space.raw_trace(w))
+
+
+def word_to_one(space, w):
+    """The word verify_similitude_orbit checks for w, q(w) = 1: the rule's
+    letters from w to 1, with r_u, u = e_1 + e_{n+2}, ahead of case 1's one
+    letter; None when case 2 finds no auxiliary."""
+    try:
+        letters, path = _two_reflections(space, w, space.one_vector().raws, 1,
+                                         _auxiliaries_to_one(space))
+    except SearchExhausted:
+        return None
+    return [(dickson_fixer(space).raws, 1)] + letters if path == "case1" else letters
+
+
+def counting_raw_reflect(monkeypatch):
+    """Count every raw_reflect call, wherever it is made: the name is
+    patched in each quadrics module that binds it, quadform's included,
+    through which raw_word applies its letters."""
+    import sys
+    from quadrics import quadform
+    real, calls = quadform.raw_reflect, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quadrics" and getattr(module, "raw_reflect", None) is real:
+            monkeypatch.setattr(module, "raw_reflect", counted)
+    return calls
 
 
 @pytest.mark.parametrize("field,w,case", [
@@ -660,7 +694,9 @@ def test_similitude_word_moves_w_to_one_and_its_reversal_does_not(field, w, case
     space = SplitSpace.pointed_even(field, 1)
     one = space.one_vector().raws
     assert space.raw_q(w) == 1 and bool(two_minus_trace(space, w)) == (case == 1)
-    word = _words_to_one(space)(w)
+    _, path = _two_reflections(space, w, one, 1, _auxiliaries_to_one(space))
+    assert path == f"case{case}"
+    word = word_to_one(space, w)
     assert len(word) == 2
     (v_1, _), (v_2, _) = word
     if case == 1:
@@ -672,8 +708,8 @@ def test_similitude_word_moves_w_to_one_and_its_reversal_does_not(field, w, case
         assert space.raw_trace(v_1) not in (0, 1) and v_1 != one
     for v, inv_q in word:   # each 1/q, taken from an identity, is right
         assert field.raw_mul(space.raw_q(v), inv_q) == 1
-    assert _apply_word(space, word, w) == one
-    assert _apply_word(space, word[::-1], w) != one
+    assert raw_word(space, word, w) == one
+    assert raw_word(space, word[::-1], w) != one
 
 
 @pytest.mark.parametrize("field,n", [(F3, 1), (F5, 1), (F9, 1), (F4, 1), (F8, 1),
@@ -681,19 +717,21 @@ def test_similitude_word_moves_w_to_one_and_its_reversal_does_not(field, w, case
                          ids=["1-3", "1-5", "1-9", "1-4", "1-8", "2-3", "2-4"])
 def test_every_norm_one_vector_has_a_word_outside_f2(field, n):
     space = SplitSpace.pointed_even(field, n)
-    word = _words_to_one(space)
     one = space.one_vector().raws
     for w in product(range(field.q), repeat=space.dim):
         if space.raw_q(w) == 1:
-            assert _apply_word(space, word(w), w) == one
+            assert raw_word(space, word_to_one(space, w), w) == one
 
 
 def test_case_two_has_no_auxiliary_over_f2():
+    """Every norm-one w of case 2 has no word over F_2, except 1 itself,
+    which the rule sends to the empty word."""
     space = SplitSpace.pointed_even(F2, 1)
-    word = _words_to_one(space)
+    one = space.one_vector().raws
     norm_one = [w for w in product(range(2), repeat=4) if space.raw_q(w) == 1]
-    assert [w for w in norm_one if word(w) is None] == [
-        w for w in norm_one if not two_minus_trace(space, w)]
+    assert [w for w in norm_one if word_to_one(space, w) is None] == [
+        w for w in norm_one if not two_minus_trace(space, w) and w != one]
+    assert word_to_one(space, one) == []
 
 
 def counting_grow_orbit(monkeypatch):
@@ -724,14 +762,15 @@ def test_corrupted_letter_leaves_its_vector_to_the_fallback(monkeypatch, field, 
     # w, as 1 is the square root of 1 the sweep takes
     bad = tuple(1 if i in (0, n + 1, 2 * n + 1) else 0 for i in range(space.dim))
     assert space.raw_q(bad) == 1 and field.raw_sqrt(1) == 1
-    words = _words_to_one(space)
-    letter_u, (v, inv_q) = words(bad)
+    letter_u, (v, inv_q) = word_to_one(space, bad)
     corrupted = [letter_u, (v, field.raw_add(inv_q, 1))]   # a wrong 1/q(w - 1)
-    assert _apply_word(space, words(bad), bad) == one
-    assert _apply_word(space, corrupted, bad) != one
+    assert raw_word(space, word_to_one(space, bad), bad) == one
+    assert raw_word(space, corrupted, bad) != one
 
-    monkeypatch.setattr("quadrics.action._words_to_one",
-                        lambda space: lambda w: corrupted if w == bad else words(w))
+    def rule(space, w, *args):
+        return (corrupted[1:], "case1") if w == bad else _two_reflections(space, w, *args)
+
+    monkeypatch.setattr("quadrics.action._two_reflections", rule)
     record = counting_grow_orbit(monkeypatch)
     assert verify_similitude_orbit(field, n) == clean
     assert clean["pass"] and record["calls"] > 0
@@ -755,17 +794,25 @@ def test_similitude_fallback_over_f2(monkeypatch, field, n, orbit_size):
 
 def test_similitude_odd_characteristic_needs_no_orbit(monkeypatch):
     """At (2,5) every expected vector is certified by its word: no grow_orbit
-    call, and at most three raw_reflect calls per expected vector."""
+    call, and at most two raw_reflect calls per expected vector, one for a
+    case-1 word (r_u is checked once, before the sweep)."""
     record = counting_grow_orbit(monkeypatch)
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return raw_reflect(*args)
-
-    monkeypatch.setattr("quadrics.action.raw_reflect", counted)
+    calls = counting_raw_reflect(monkeypatch)
     report = verify_similitude_orbit(F5, 2)
     assert report["pass"] and report["expected_orbit_size"] == 6200
     assert record["calls"] == 0
-    assert calls <= 3 * report["expected_orbit_size"]
+    assert 0 < calls[0] <= 2 * report["expected_orbit_size"]
+
+
+def test_similitude_orbit_keeps_no_expected_set():
+    """The sweep counts the expected vectors and stores only those left
+    uncertified: at (2,5) a set of all 6,200 of them peaked at 0.92 MB."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        report = verify_similitude_orbit(F5, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["pass"] and report["expected_orbit_size"] == 6200
+    assert peak < 200_000

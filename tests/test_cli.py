@@ -496,6 +496,47 @@ def test_extension_field_spec(capsys):
     assert "6 is not a prime power" in capsys.readouterr().err
 
 
+def _patch_everywhere(monkeypatch, name, replacement):
+    """Bind replacement to `name` in quadrics.fields and in every quadrics
+    module that imported it from there."""
+    from quadrics import fields
+    real = getattr(fields, name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "quadrics" and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, replacement)
+    return real
+
+
+@pytest.mark.parametrize("spec", ["100000000000031", "100000000000031^1"])
+def test_out_of_cap_field_is_refused_before_any_primality_test(capsys, monkeypatch, spec):
+    """is_prime and is_prime_power divide by every d up to sqrt(q): the
+    15-digit prime took 1.4-2.6 s to be refused by the order cap."""
+    def forbidden(n):
+        raise AssertionError("a primality test ran before the size caps")
+
+    for name in ("is_prime", "is_prime_power"):
+        _patch_everywhere(monkeypatch, name, forbidden)
+    assert main(["count", "--n", "1", "--field", spec]) == 2
+    assert "field order 100000000000031 exceeds cap 1024" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(["count", "--n", "1", "--field", "6"]) == 2
+    assert "6 is not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code", [
+    ("count --n 1 --q 7", 0), ("count --n 1 --q 6", 2),
+    ("verify recursion --n 3 --q 7", 0), ("verify recursion --n 1 --q 6", 2),
+])
+def test_symbolic_q_is_tested_for_a_prime_power_once(capsys, monkeypatch, argv, code):
+    calls = []
+    real = _patch_everywhere(monkeypatch, "is_prime_power",
+                             lambda q: calls.append(q) or real(q))
+    assert main(argv.split()) == code
+    assert calls == [int(argv.split()[-1])]
+    if code:
+        assert capsys.readouterr().err == "error: 6 is not a prime power\n"
+
+
 def _refused_at_once(capsys, n, spec, message):
     start = time.perf_counter()
     code = main(["verify", "homogeneous", "--n", n, "--field", spec])

@@ -265,6 +265,75 @@ def test_a_without_its_guarantees_is_an_invariant_violation(monkeypatch):
             quadric_transport(c, target)
 
 
+def test_a_word_vector_of_norm_zero_fails_construction():
+    """The rule takes every norm from an identity and checks none: q of each
+    letter is checked by verify(), which construction runs."""
+    s = SplitSpace.pointed_even(F3, 1)
+    x = s.basis_vector(0)   # q(e_1) = 0
+    with pytest.raises(InvariantViolation):
+        TransportCertificate(s, [x], None, x, x, "case1")
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.extension(2, 2), Q], ids=["5", "4", "Q"])
+def test_every_transport_and_the_similitude_orbit_use_the_one_rule(monkeypatch, field):
+    """reflection_transport, similitude_transport, quadric_transport and
+    verify_similitude_orbit each call transport._two_reflections, and the
+    rule evaluates no q.  The q of each candidate it draws is the caller's,
+    evaluated while the count is off."""
+    import quadrics.action as action
+    import quadrics.transport as transport
+    from quadrics.action import verify_similitude_orbit
+    rule, calls, inside, q_inside = transport._two_reflections, [0], [False], [0]
+
+    def drawn(auxiliaries):
+        it = iter(auxiliaries)
+        while True:
+            inside[0] = False
+            letter = next(it, None)
+            inside[0] = True
+            if letter is None:
+                return
+            yield letter
+
+    def counted_rule(space, x, y, q, auxiliaries):
+        calls[0] += 1
+        inside[0] = True
+        try:
+            return rule(space, x, y, q, drawn(auxiliaries))
+        finally:
+            inside[0] = False
+
+    raw_q = SplitSpace.raw_q
+
+    def counted_q(self, raws):
+        q_inside[0] += inside[0]
+        return raw_q(self, raws)
+
+    monkeypatch.setattr(transport, "_two_reflections", counted_rule)
+    monkeypatch.setattr(action, "_two_reflections", counted_rule)
+    monkeypatch.setattr(SplitSpace, "raw_q", counted_q)
+    s, c = SplitSpace.pointed_even(field, 1), GroupContext(field, 1)
+    paths = []
+    callers = {
+        "reflection_transport": lambda: [
+            reflection_transport(s, x, y).path for x, y in
+            ((s.basis_vector(0), s.basis_vector(1)), (s.vector([1, 0, 1, 0]), s.one_vector()))],
+        "quadric_transport": lambda: [
+            quadric_transport(c, c.space.vector(p)).path for p in ([0, 1, 0, 0], [1, 0, 0, 1])],
+    }
+    if field.is_finite:
+        norm_one = [v for v in s.enumerate_vectors() if s.raw_q(v.raws) == 1]
+        callers["similitude_transport"] = lambda: [
+            similitude_transport(s, v).path for v in norm_one[:20]]
+        callers["verify_similitude_orbit"] = lambda: [verify_similitude_orbit(field, 1)["pass"]]
+    for name, call in callers.items():
+        before = calls[0]
+        paths += call()
+        assert calls[0] > before, name
+    assert q_inside[0] == 0
+    assert {"case1", "case2"} <= set(paths)
+
+
 # -- similitude transport ------------------------------------------------------------
 
 def test_similitude_identity():
