@@ -71,14 +71,28 @@ def _parser():
     return parser
 
 
+# Set-up shared by the jobs of one process, bounded so that a caller walking
+# many fields does not keep their tables.  A Field is built on its spec and
+# a GroupContext on (field, n); jobs read both and mutate neither, and the
+# lazily filled square-root table and form kernels are deterministic.
+@functools.lru_cache(maxsize=32)
+def _field(spec):
+    return Field.parse(spec)
+
+
+@functools.lru_cache(maxsize=32)
+def _context(field, n):
+    return GroupContext(field, n)
+
+
 def _field_of(args):
     if getattr(args, "field", None):
-        return Field.parse(args.field)
+        return _field(args.field)
     raise ValueError("--field is required for this command")
 
 
 def _cmd_count(args):
-    field = Field.parse(args.field) if args.q is None else None
+    field = _field(args.field) if args.q is None else None
     record = count_report(args.n, field=field, q=args.q, force=args.force)
     return record, not record["match"]
 
@@ -107,7 +121,7 @@ def _cmd_transport(args):
     field = _field_of(args)
     if args.n < 1:
         raise ValueError("--n must be at least 1")
-    ctx = GroupContext(field, args.n)
+    ctx = _context(field, args.n)
     if args.all:
         certs, stats = transport_all(ctx, force=args.force)
         record = {

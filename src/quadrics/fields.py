@@ -5,15 +5,16 @@ for a prime field, sum(c_i * p**i) for the coefficient vector (c_0, ..,
 c_{k-1}) of an extension.  Packing keeps vectors and matrices hashable and
 cheap to compare; rationals are carried as Fraction.  All representations
 are canonical, so equality is representation equality.  Each Field binds the
-raw operations, the linear-combination kernel and the matrix kernels on
-these representations for its kind when it is built, and compiles a form
-kernel for an index-pair tuple on request; other modules compute only
-through them.
+raw operations, the linear-combination kernel, the matrix kernels and the
+string formatter on these representations for its kind when it is built,
+and compiles a form kernel for an index-pair tuple on request; other modules
+compute and print only through them.
 """
 
 import re
 from fractions import Fraction
 from functools import cache, partial
+from math import isqrt
 from operator import add, mul, neg, sub
 
 from .errors import (
@@ -45,33 +46,58 @@ MODULI = {
 _TERM = re.compile(r"(?:(\d+)\*)?g(?:\^(\d+))?|(\d+)")
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every n below this bound (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Exact primality: deterministic Miller-Rabin below _MR_BOUND, trial
+    division up to sqrt(n) above it."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        return all(n % d for d in range(2, isqrt(n) + 1))
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def is_prime_power(q):
-    """Return (p, k) with q = p^k, or None if q is not a prime power."""
+    """Return (p, k) with q = p^k, or None if q is not a prime power.  Below
+    _MR_BOUND each exact k-th root of q is tested for primality; above it
+    the least prime factor is found by trial division."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            break
-        if q % p:
-            continue
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        return (p, k) if m == 1 else None
-    return (q, 1)
+    if q < _MR_BOUND:
+        for k in range(1, q.bit_length()):
+            # for k >= 2 an exact root is below 2^41, where the rounded
+            # float root is off by far less than 1/2
+            p = q if k == 1 else round(q ** (1 / k))
+            if p ** k == q and is_prime(p):
+                return p, k
+        return None
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
 
 
 @cache
@@ -87,7 +113,7 @@ class Field:
         "kind", "p", "k", "q", "modulus", "key",
         "_add", "_mul", "_inv", "_neg", "_sqrt", "_hash",
         "raw_add", "raw_sub", "raw_neg", "raw_mul", "raw_inv", "raw_lincomb",
-        "matmul", "matvec",
+        "raw_str", "matmul", "matvec",
     )
 
     def __init__(self, kind, p=0, k=1):
@@ -101,7 +127,7 @@ class Field:
             self.q = None
             self.modulus = None
         else:
-            # the caps first: is_prime is a trial division up to sqrt(p)
+            # the caps first: past _MR_BOUND is_prime is a trial division
             if k < 1 or k > DEGREE_CAP:
                 raise UnsupportedSize(f"extension degree {k} not supported (max {DEGREE_CAP})")
             q = p ** k
@@ -153,7 +179,7 @@ class Field:
 
     @classmethod
     def of_order(cls, q):
-        if q > ORDER_CAP:   # before is_prime_power's trial division
+        if q > ORDER_CAP:   # before any primality test
             raise UnsupportedSize(f"field order {q} exceeds cap {ORDER_CAP}")
         pk = is_prime_power(q)
         if pk is None:
@@ -218,7 +244,10 @@ class Field:
         kind, once: prime fields reduce mod p, extensions read the tables,
         and Q computes with Fraction, so no call branches on the kind.
         raw_lincomb(a, x, b, y) is the tuple a x + b y of two vectors,
-        matmul takes two row tuples and matvec a row tuple and a vector."""
+        matmul takes two row tuples and matvec a row tuple and a vector.
+        raw_str is str of an element: the residue or the fraction, and in
+        an extension the sum c_0+c_1*g+c_2*g^2+... of every coefficient,
+        rendered once per element and kept."""
         if self.kind == "extension":
             add_t, mul_t, neg_t, inv_t = self._add, self._mul, self._neg, self._inv
 
@@ -239,6 +268,13 @@ class Field:
             def lincomb(a, x, b, y):
                 row_a, row_b = mul_t[a], mul_t[b]
                 return tuple([add_t[row_a[s]][row_b[t]] for s, t in zip(x, y)])
+
+            unpack = self._unpack_raw
+
+            @cache
+            def raw_str(a):
+                return "+".join(f"{c}*g^{i}" if i > 1 else (f"{c}*g" if i == 1 else str(c))
+                                for i, c in enumerate(unpack(a)))
 
             self.raw_add = lambda a, b: add_t[a][b]
             self.raw_sub = lambda a, b: add_t[a][neg_t[b]]
@@ -264,6 +300,7 @@ class Field:
             self.raw_neg = lambda a: -a % p
             self.raw_mul = lambda a, b: a * b % p
             inv = lambda a: pow(a, -1, p)
+            raw_str = str
         else:
             def matmul(a, b):
                 cols = tuple(zip(*b))
@@ -279,13 +316,14 @@ class Field:
 
             self.raw_add, self.raw_sub, self.raw_neg, self.raw_mul = add, sub, neg, mul
             inv = partial(Fraction, 1)   # 1 / a would be a float for an int a
+            raw_str = str
 
         def raw_inv(a):
             if not a:
                 raise DivisionByZero("inverse of zero")
             return inv(a)
 
-        self.raw_inv, self.raw_lincomb = raw_inv, lincomb
+        self.raw_inv, self.raw_lincomb, self.raw_str = raw_inv, lincomb, raw_str
         self.matmul, self.matvec = matmul, matvec
 
     def bilinear(self, pairs):
@@ -535,14 +573,7 @@ class FieldElement:
         return bool(self.rep)
 
     def __str__(self):
-        f = self.field
-        if f.kind == "prime":
-            return str(self.rep)
-        if f.kind == "rational":
-            return str(self.rep)
-        parts = [f"{c}*g^{i}" if i > 1 else (f"{c}*g" if i == 1 else str(c))
-                 for i, c in enumerate(self.coeffs)]
-        return "+".join(parts)
+        return self.field.raw_str(self.rep)
 
     def __repr__(self):
         return f"<{self} in {self.field}>"

@@ -99,7 +99,7 @@ class Vector:
         return not any(self.raws)
 
     def to_strings(self):
-        return [str(c) for c in self.coords]
+        return list(map(self.field.raw_str, self.raws))
 
     def __eq__(self, other):
         return (isinstance(other, Vector) and other.field == self.field
@@ -389,7 +389,8 @@ class GroupElement:
         return self.rank() == self.dim
 
     def to_strings(self):
-        return [[str(FieldElement(self.field, x)) for x in row] for row in self.rows]
+        raw_str = self.field.raw_str
+        return [list(map(raw_str, row)) for row in self.rows]
 
     def __eq__(self, other):
         return (isinstance(other, GroupElement) and other.field == self.field

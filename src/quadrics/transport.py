@@ -212,12 +212,14 @@ def quadric_transport(ctx, point):
         target = point
         if not is_on_quadric(space, target):
             raise NotOnQuadric(f"{target!r} is not on the quadric")
+    # q(target) = q(x_0) = 0 needs no evaluation; the one letter (a, 1/q(a))
+    # = (a, -1) is built only when case 2 draws it
+    auxiliaries = ((a.raws, space.field.element(-1).rep) for a in map(case2_vector, [ctx]))
     try:
-        # map defers building a until case 2 draws it
-        word, path = _transport_word(space, target, ctx.x0, map(case2_vector, [ctx]))
+        letters, path = _two_reflections(space, target.raws, ctx.x0.raws, 0, auxiliaries)
     except SearchExhausted:
         raise InvariantViolation("case-2 vector a violated its guarantees") from None
-    word.reverse()
+    word = [Vector(space.field, v) for v, _ in reversed(letters)]
     if path == "case1":
         # r_diff moves x_0 to the target but has Dickson 1; compose with r_{u*}
         word.append(dickson_fixer(ctx))

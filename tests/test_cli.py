@@ -8,8 +8,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadrics import quadric
+from quadrics import cli, quadric
+from quadrics.action import GroupContext
 from quadrics.cli import main
+from quadrics.fields import Field
 
 
 def run(capsys, *argv):
@@ -535,6 +537,51 @@ def test_symbolic_q_is_tested_for_a_prime_power_once(capsys, monkeypatch, argv, 
     assert calls == [int(argv.split()[-1])]
     if code:
         assert capsys.readouterr().err == "error: 6 is not a prime power\n"
+
+
+@pytest.mark.parametrize("argv", ["count --n 1 --q 100000000000031",
+                                  "verify recursion --n 1 --q 100000000000031"])
+def test_a_fifteen_digit_prime_q_answers_at_once(capsys, argv):
+    """The prime-power test of q is a Miller-Rabin test of each exact root,
+    not a trial division up to sqrt(q) (0.8 s for this q)."""
+    start = time.perf_counter()
+    code = main(argv.split())
+    elapsed = time.perf_counter() - start
+    assert code == 0 and elapsed < 0.05
+    assert json.loads(capsys.readouterr().out)["closed_form"] == \
+        100000000000031 ** 2 + 100000000000031
+
+
+def _counted_contexts(monkeypatch):
+    """The GroupContexts cli builds from here on, with both caches empty."""
+    built = []
+    monkeypatch.setattr(cli, "GroupContext", lambda field, n: built.append((field, n))
+                        or GroupContext(field, n))
+    cli._field.cache_clear()
+    cli._context.cache_clear()
+    return built
+
+
+def test_transport_jobs_share_one_field_and_context(capsys, monkeypatch):
+    built = _counted_contexts(monkeypatch)
+    argv = ("transport", "--n", "2", "--field", "5", "--point", "1,2,0,3,1,1")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0
+    assert json.loads(first[1])["path"] == "case2"
+    run(capsys, "transport", "--n", "2", "--field", "5", "--point", "0,0,0,0,0,1")
+    assert built == [(Field.prime(5), 2)]
+    assert cli._field.cache_info().currsize == 1
+    # the caches are bounded
+    assert cli._field.cache_info().maxsize == cli._context.cache_info().maxsize == 32
+
+
+def test_field_specs_of_one_field_share_a_context_and_print_alike(capsys, monkeypatch):
+    built = _counted_contexts(monkeypatch)
+    outs = [run(capsys, "transport", "--n", "1", "--field", spec, "--point", "g,1,0,0")
+            for spec in ("4", "2^2", "4")]
+    assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
+    assert json.loads(outs[0][1])["target"] == ["0+1*g", "1+0*g", "0+0*g", "0+0*g"]
+    assert built == [(Field.extension(2, 2), 1)]
 
 
 def _refused_at_once(capsys, n, spec, message):

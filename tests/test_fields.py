@@ -11,7 +11,9 @@ from quadrics.errors import (
     NonPrimeCharacteristic,
     UnsupportedSize,
 )
-from quadrics.fields import Field, is_prime_power
+import quadrics.fields as fields
+from quadrics.fields import Field, FieldElement, is_prime, is_prime_power
+from quadrics.quadform import GroupElement, Vector
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -176,11 +178,96 @@ def test_extension_coeffs():
     assert str(a) == "1+0*g+1*g^2"
 
 
+def _old_str(field, a):
+    """str of an element as FieldElement.__str__ wrote it before raw_str."""
+    if field.kind != "extension":
+        return str(a)
+    return "+".join(f"{c}*g^{i}" if i > 1 else (f"{c}*g" if i == 1 else str(c))
+                    for i, c in enumerate(field._unpack_raw(a)))
+
+
+@pytest.mark.parametrize("spec", ["7", "4", "8", "9", "16", "25"])
+def test_raw_str_is_the_element_string_and_parses_back(spec):
+    f = Field.parse(spec)
+    for a in range(f.q):
+        assert f.raw_str(a) == _old_str(f, a) == str(FieldElement(f, a))
+        assert f.parse_element(f.raw_str(a)).rep == a
+    if f.kind == "extension":   # the memo returns the string it rendered first
+        assert f.raw_str(f.q - 1) is f.raw_str(f.q - 1)
+
+
+def test_raw_str_over_the_rationals():
+    for a in (Fraction(0), Fraction(7), Fraction(-7), Fraction(5, 6), Fraction(-2, 3),
+              Fraction(-10 ** 20, 3)):
+        assert Q.raw_str(a) == _old_str(Q, a) == str(Q.element(a))
+        assert Q.parse_element(Q.raw_str(a)).rep == a
+
+
+def test_to_strings_build_no_field_element(monkeypatch):
+    v = Vector.of(F9, [0, 1, 2, 2])
+    m = GroupElement(F9, [[0, 1], [2, 0]])
+    want_v, want_m = v.to_strings(), m.to_strings()
+
+    def forbidden(self, field, rep):
+        raise AssertionError("a FieldElement was built to print a coordinate")
+
+    monkeypatch.setattr(FieldElement, "__init__", forbidden)
+    assert v.to_strings() == want_v == ["0+0*g", "1+0*g", "2+0*g", "2+0*g"]
+    assert m.to_strings() == want_m == [["0+0*g", "1+0*g"], ["2+0*g", "0+0*g"]]
+
+
+def _prime_power_by_trial_division(q):
+    for p in range(2, q + 1):
+        if p * p > q:
+            break
+        if q % p == 0:
+            k = 0
+            while q % p == 0:
+                q //= p
+                k += 1
+            return (p, k) if q == 1 else None
+    return (q, 1) if q > 1 else None
+
+
 def test_is_prime_power():
     assert is_prime_power(8) == (2, 3)
     assert is_prime_power(27) == (3, 3)
     assert is_prime_power(12) is None
     assert is_prime_power(1) is None
+    for q in range(50000):
+        assert is_prime_power(q) == _prime_power_by_trial_division(q), q
+
+
+def test_is_prime_below_the_miller_rabin_bound():
+    assert [n for n in range(3000) if is_prime(n)] == \
+        [n for n in range(3000) if _prime_power_by_trial_division(n) == (n, 1)]
+    # strong pseudoprimes to the first 1, 4, 7, 9, 12 prime bases
+    for n in (2047, 3215031751, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(n) and is_prime_power(n) is None
+    for p in (2 ** 61 - 1, 1000000000000037, 999999999989):
+        assert is_prime(p) and is_prime_power(p) == (p, 1)
+        assert not is_prime(p * 1000003)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003, 999999999989, 1821275395031])
+def test_prime_powers_up_to_the_bound_are_found(p):
+    """Each power of p below the bound is found, and its neighbours get a
+    true answer; 1821275395031 is the largest prime whose square is below
+    the bound, where the float root is least precise."""
+    k = 1
+    while p ** k < fields._MR_BOUND:
+        assert is_prime_power(p ** k) == (p, k)
+        for q in (p ** k - 1, p ** k + 1):
+            pk = is_prime_power(q)
+            assert pk is None or pk[0] ** pk[1] == q and pk[0] != p and is_prime(pk[0])
+        k += 1
+
+
+def test_prime_powers_past_the_bound_use_trial_division():
+    assert is_prime_power(2 ** 90) == (2, 90)
+    assert is_prime_power(3 ** 60 * 7) is None
+    assert is_prime_power(fields._MR_BOUND + 1) is None   # even
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))

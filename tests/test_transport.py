@@ -464,9 +464,17 @@ def test_reverify_recomputes_the_dickson_invariant(field):
                                         ([0, 1, 0, 0], "case1"),
                                         ([1, 0, 0, 1], "case2")])
 def test_construction_runs_one_gram_pass_and_one_dickson(monkeypatch, point, path):
+    """Construction also evaluates q once on the point (is_on_quadric),
+    twice per letter (the reflector and verify) and once per column in the
+    Gram pass: q(point) = q(x_0) = 0 is not evaluated again for the rule."""
     import quadrics.quadform as quadform
     import quadrics.transport as transport
     calls = {"gram": 0, "dickson": 0}
+    q_calls, raw_q = [0], SplitSpace.raw_q
+
+    def counted_q(self, raws):
+        q_calls[0] += 1
+        return raw_q(self, raws)
 
     def counted(key, fn):
         def wrapper(*args):
@@ -479,11 +487,15 @@ def test_construction_runs_one_gram_pass_and_one_dickson(monkeypatch, point, pat
     monkeypatch.setattr(quadform, "_dickson", dickson)
     monkeypatch.setattr(transport, "_dickson", dickson)
     c = GroupContext(F3, 1)
-    cert = quadric_transport(c, c.space.vector(point))
+    target = c.space.vector(point)
+    monkeypatch.setattr(SplitSpace, "raw_q", counted_q)
+    cert = quadric_transport(c, target)
     assert cert.path == path
     assert calls == {"gram": 1, "dickson": 1}
+    assert q_calls == [1 + 2 * len(cert.word) + c.dim]
     assert cert.verify()
     assert calls == {"gram": 2, "dickson": 2}
+    assert q_calls == [1 + 3 * len(cert.word) + 2 * c.dim]
 
 
 def test_certificates_are_built_without_matrix_products(monkeypatch):
