@@ -5,10 +5,12 @@ for a prime field, sum(c_i * p**i) for the coefficient vector (c_0, ..,
 c_{k-1}) of an extension.  Packing keeps vectors and matrices hashable and
 cheap to compare; rationals are carried as Fraction.  All representations
 are canonical, so equality is representation equality.  Each Field binds the
-raw operations, the linear-combination kernel, the matrix kernels and the
-string formatter on these representations for its kind when it is built,
-and compiles a form kernel for an index-pair tuple on request; other modules
-compute and print only through them.
+raw operations, the linear-combination kernel and the string formatter on
+these representations for its kind when it is built.  It compiles a form
+kernel for an index-pair tuple on request, and a matmul or matvec kernel on
+the first product of each dimension; every generated kernel is one
+straight-line expression whose arithmetic comes from Field._term_sum.  Other
+modules compute and print only through them.
 """
 
 import re
@@ -106,6 +108,22 @@ def _compiled(source):
     return compile(source, "<quadrics kernel>", "eval")
 
 
+def _names(prefix, d):
+    return ", ".join(f"{prefix}{i}" for i in range(d))
+
+
+class _ByDimension(dict):
+    """d -> kernel, each built by build(d) on its first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, d):
+        kernel = self[d] = self.build(d)
+        return kernel
+
+
 class Field:
     """Descriptor of F_p, GF(p^k) with a fixed modulus, or the rationals."""
 
@@ -113,7 +131,7 @@ class Field:
         "kind", "p", "k", "q", "modulus", "key",
         "_add", "_mul", "_inv", "_neg", "_sqrt", "_hash",
         "raw_add", "raw_sub", "raw_neg", "raw_mul", "raw_inv", "raw_lincomb",
-        "raw_str", "matmul", "matvec",
+        "raw_str", "matmul", "matvec", "_matmuls", "_matvecs",
     )
 
     def __init__(self, kind, p=0, k=1):
@@ -240,30 +258,18 @@ class Field:
     # -- raw arithmetic on packed representations --------------------------
 
     def _bind_kernels(self):
-        """Bind the raw operations and the matrix kernels of this field's
-        kind, once: prime fields reduce mod p, extensions read the tables,
-        and Q computes with Fraction, so no call branches on the kind.
-        raw_lincomb(a, x, b, y) is the tuple a x + b y of two vectors,
-        matmul takes two row tuples and matvec a row tuple and a vector.
-        raw_str is str of an element: the residue or the fraction, and in
-        an extension the sum c_0+c_1*g+c_2*g^2+... of every coefficient,
-        rendered once per element and kept."""
+        """Bind the raw operations of this field's kind, once: prime fields
+        reduce mod p, extensions read the tables, and Q computes with
+        Fraction, so no call branches on the kind.  raw_lincomb(a, x, b, y)
+        is the tuple a x + b y of two vectors.  raw_str is str of an
+        element: the residue or the fraction, and in an extension the sum
+        c_0+c_1*g+c_2*g^2+... of every coefficient, rendered once per
+        element and kept.  matmul takes two row tuples and matvec a row
+        tuple and a vector; each passes the rows to the straight-line
+        kernel for their dimension d = len(a), which is generated and
+        compiled on the first call for that d and kept per field."""
         if self.kind == "extension":
             add_t, mul_t, neg_t, inv_t = self._add, self._mul, self._neg, self._inv
-
-            def dot(row, col):
-                acc = 0
-                for x, y in zip(row, col):
-                    if x and y:
-                        acc = add_t[acc][mul_t[x][y]]
-                return acc
-
-            def matmul(a, b):
-                cols = tuple(zip(*b))
-                return tuple(tuple(dot(row, col) for col in cols) for row in a)
-
-            def matvec(a, v):
-                return tuple(dot(row, v) for row in a)
 
             def lincomb(a, x, b, y):
                 row_a, row_b = mul_t[a], mul_t[b]
@@ -284,14 +290,6 @@ class Field:
         elif self.kind == "prime":
             p = self.p
 
-            def matmul(a, b):
-                cols = tuple(zip(*b))
-                return tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
-                             for row in a)
-
-            def matvec(a, v):
-                return tuple(sum(map(mul, row, v)) % p for row in a)
-
             def lincomb(a, x, b, y):
                 return tuple([(a * s + b * t) % p for s, t in zip(x, y)])
 
@@ -302,13 +300,6 @@ class Field:
             inv = lambda a: pow(a, -1, p)
             raw_str = str
         else:
-            def matmul(a, b):
-                cols = tuple(zip(*b))
-                return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-            def matvec(a, v):
-                return tuple(sum(map(mul, row, v)) for row in a)
-
             def lincomb(a, x, b, y):
                 if a == 1:   # skips a Fraction product per coordinate
                     return tuple([s + b * t for s, t in zip(x, y)])
@@ -324,23 +315,54 @@ class Field:
             return inv(a)
 
         self.raw_inv, self.raw_lincomb, self.raw_str = raw_inv, lincomb, raw_str
-        self.matmul, self.matvec = matmul, matvec
+        matmuls = self._matmuls = _ByDimension(self._matmul_kernel)
+        matvecs = self._matvecs = _ByDimension(self._matvec_kernel)
+        self.matmul = lambda a, b: matmuls[len(a)](*a, *b)
+        self.matvec = lambda a, v: matvecs[len(a)](*a, *v)
+
+    # -- generated kernels -------------------------------------------------
+
+    def _term_sum(self, terms):
+        """Source of the sum of x*y over the source pairs (x, y) in terms:
+        one sum reduced once mod p, nested add/mul table lookups in an
+        extension, a plain sum over Q.  Every generated kernel's arithmetic
+        is written here."""
+        if self.kind == "extension":
+            (x, y), *rest = terms
+            body = f"mul[{x}][{y}]"
+            for x, y in rest:
+                body = f"add[{body}][mul[{x}][{y}]]"
+            return body
+        body = " + ".join(f"{x}*{y}" for x, y in terms)
+        return f"({body}) % {self.p}" if self.kind == "prime" else body
+
+    def _kernel(self, source):
+        """The function of a generated lambda, its source compiled once per
+        distinct source and bound to this field's tables."""
+        return eval(_compiled(source),
+                    {"add": self._add, "mul": self._mul} if self.kind == "extension" else {})
 
     def bilinear(self, pairs):
         """f(u, w) = sum of u_i w_j over the index pairs (i, j), as one
-        straight-line expression: one sum reduced once mod p, nested table
-        lookups in an extension, a plain sum over Q.  Its source is built
-        from the indices and p alone and compiled once per distinct source;
+        straight-line expression built from the indices and p alone;
         nothing is compiled until a kernel is asked for."""
-        if self.kind == "extension":
-            body = f"mul[u[{pairs[0][0]}]][w[{pairs[0][1]}]]"
-            for i, j in pairs[1:]:
-                body = f"add[{body}][mul[u[{i}]][w[{j}]]]"
-            return eval(_compiled(f"lambda u, w: {body}"), {"add": self._add, "mul": self._mul})
-        body = " + ".join(f"u[{i}]*w[{j}]" for i, j in pairs)
-        if self.kind == "prime":
-            body = f"({body}) % {self.p}"
-        return eval(_compiled(f"lambda u, w: {body}"), {})
+        body = self._term_sum([(f"u[{i}]", f"w[{j}]") for i, j in pairs])
+        return self._kernel(f"lambda u, w: {body}")
+
+    def _matmul_kernel(self, d):
+        """lambda a0, .., b0, ..: the rows of a b, given the d rows of each."""
+        rows = ", ".join(
+            "(" + ", ".join(self._term_sum([(f"a{i}[{k}]", f"b{k}[{j}]") for k in range(d)])
+                            for j in range(d)) + ",)"
+            for i in range(d))
+        return self._kernel(f"lambda {_names('a', d)}, {_names('b', d)}: ({rows},)")
+
+    def _matvec_kernel(self, d):
+        """lambda a0, .., v0, ..: a v, given the d rows of a and the d
+        coordinates of v."""
+        coords = ", ".join(self._term_sum([(f"a{i}[{k}]", f"v{k}") for k in range(d)])
+                           for i in range(d))
+        return self._kernel(f"lambda {_names('a', d)}, {_names('v', d)}: ({coords},)")
 
     @property
     def is_finite(self):

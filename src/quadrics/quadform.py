@@ -19,7 +19,8 @@ of raw letters (v, 1/q(v)) one reflection at a time.
 
 A matrix m is tested against q through its Gram data: q of each column and B
 of each pair of columns, against the same values on the basis.  is_isometry
-and similitude_factor both read these pairs from _gram_pairs.
+and similitude_factor both read these pairs from _gram_pairs; a matrix that
+passes is invertible, so only a failing one is eliminated.
 """
 
 from functools import cache
@@ -473,8 +474,8 @@ def _basis_form_values(shape, n):
 def _gram_pairs(space, m):
     """(got, want) for q on each column of m, then B on each pair of columns,
     against the basis values: m scales q by c iff got = c * want throughout,
-    over any ring."""
-    _check_matrix(space, m)
+    over any ring.  Only the field and the dimension are checked here."""
+    _check_shape(space, m)
     cols = tuple(zip(*m.rows))
     q_vals, b_vals = _basis_form_values(space.shape, space.n)
     for col, want in zip(cols, q_vals):
@@ -483,19 +484,32 @@ def _gram_pairs(space, m):
         yield space.raw_b(cols[i], cols[j]), want
 
 
+# A matrix that scales q by a unit c is invertible: if m v = 0, then
+# c B(v, x) = B(m v, m x) = 0 for every x and c q(v) = q(m v) = 0, so v lies
+# in the radical of B and q(v) = 0.  That radical is 0, except on the odd
+# shape in characteristic 2, where it is the line of e_{2n+1} and q(a e) =
+# a^2.  So v = 0, and is_isometry and similitude_factor eliminate m only
+# when the Gram check fails, to raise SingularMatrix on a singular m.
+
 def is_isometry(space, m):
-    """True iff m preserves q; stops at the first Gram value that differs."""
-    return all(got == want for got, want in _gram_pairs(space, m))
+    """True iff m preserves q; stops at the first Gram value that differs.
+    A singular m raises SingularMatrix."""
+    if all(got == want for got, want in _gram_pairs(space, m)):
+        return True
+    _check_matrix(space, m)
+    return False
 
 
 def similitude_factor(space, m):
-    """The unit c with q(mx) = c q(x) for all x, or None if there is none."""
+    """The unit c with q(mx) = c q(x) for all x, or None if there is none.
+    A singular m raises SingularMatrix."""
     f = space.field
     pairs = list(_gram_pairs(space, m))
     factor = next((f.raw_div(got, want) for got, want in pairs if want), None)
-    if not factor or any(got != f.raw_mul(factor, want) for got, want in pairs):
-        return None
-    return FieldElement(f, factor)
+    if factor and all(got == f.raw_mul(factor, want) for got, want in pairs):
+        return FieldElement(f, factor)
+    _check_matrix(space, m)
+    return None
 
 
 def dickson(space, m):
@@ -514,18 +528,21 @@ def _dickson(space, m):
     this even-rank space."""
     f = space.field
     if f.characteristic == 2:
-        shifted = GroupElement(f, [tuple(f.raw_sub(x, 1 if i == j else 0)
-                                         for j, x in enumerate(row))
+        shifted = GroupElement(f, [row[:i] + (f.raw_sub(row[i], 1),) + row[i + 1:]
                                    for i, row in enumerate(m.rows)])
         return shifted.rank() % 2
     return 0 if m.det().rep == f.one.rep else 1
 
 
-def _check_matrix(space, m):
+def _check_shape(space, m):
     if m.field != space.field:
         raise FieldMismatch(f"{space.field} vs {m.field}")
     if m.dim != space.dim:
         raise DimensionMismatch(f"space dim {space.dim}, matrix dim {m.dim}")
+
+
+def _check_matrix(space, m):
+    _check_shape(space, m)
     if not m.is_invertible:
         raise SingularMatrix("matrix is singular")
 

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from quadrics.errors import (
 )
 import quadrics.fields as fields
 from quadrics.fields import Field, FieldElement, is_prime, is_prime_power
+from quadrics.action import GroupContext
 from quadrics.quadform import GroupElement, Vector
 
 F2 = Field.prime(2)
@@ -214,6 +217,73 @@ def test_to_strings_build_no_field_element(monkeypatch):
     monkeypatch.setattr(FieldElement, "__init__", forbidden)
     assert v.to_strings() == want_v == ["0+0*g", "1+0*g", "2+0*g", "2+0*g"]
     assert m.to_strings() == want_m == [["0+0*g", "1+0*g"], ["2+0*g", "0+0*g"]]
+
+
+# -- matrix kernels -------------------------------------------------------------
+
+def _reference_dot(field, row, col):
+    """The per-kind loops the compiled kernels replace: a sum of products
+    reduced mod p, a zero-skipping table walk, a plain sum over Q."""
+    if field.kind == "extension":
+        acc = 0
+        for x, y in zip(row, col):
+            if x and y:
+                acc = field._add[acc][field._mul[x][y]]
+        return acc
+    total = sum(map(mul, row, col))
+    return total % field.p if field.kind == "prime" else total
+
+
+def _reference_matmul(field, a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(_reference_dot(field, row, col) for col in cols) for row in a)
+
+
+def _random_matrix(field, rng, d):
+    if field.kind == "rational":   # ints as GroupElement.identity holds them, and fractions
+        draw = lambda: rng.choice((0, 1, Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+    else:
+        draw = lambda: rng.randrange(field.q)
+    return tuple(tuple(draw() for _ in range(d)) for _ in range(d))
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, F9, Field.extension(2, 4), Q], ids=str)
+def test_matrix_kernels_match_the_reference_sum_of_products(f):
+    rng = random.Random(str(f))
+    for d in range(1, 9):
+        zero = ((0,) * d,) * d
+        identity = GroupElement.identity(f, d).rows
+        matrices = [zero, identity] + [_random_matrix(f, rng, d) for _ in range(6)]
+        for a in matrices:
+            for b in matrices[:4]:
+                want = _reference_matmul(f, a, b)
+                got = f.matmul(a, b)
+                assert got == want
+                assert [type(x) for row in got for x in row] == \
+                    [type(x) for row in want for x in row]
+                v = b[-1]
+                assert f.matvec(a, v) == tuple(_reference_dot(f, row, v) for row in a)
+
+
+def test_matrix_kernels_compile_on_the_first_product_of_each_dimension():
+    field = Field.prime(13)
+    GroupContext(field, 2)
+    assert not field._matmuls and not field._matvecs
+    for d in (6, 8, 6, 8):
+        m = GroupElement.identity(field, d)
+        assert (m * m).rows == m.rows
+        assert field.matvec(m.rows, m.rows[0]) == m.rows[0]
+    assert sorted(field._matmuls) == sorted(field._matvecs) == [6, 8]
+
+
+def test_fields_of_one_kind_and_characteristic_share_compiled_kernels():
+    a, b = Field.prime(11), Field.prime(11)
+    m = GroupElement.identity(a, 5).rows
+    a.matmul(m, m)
+    misses = fields._compiled.cache_info().misses
+    assert b.matmul(m, m) == m
+    assert fields._compiled.cache_info().misses == misses
+    assert a._matmuls[5].__code__ is b._matmuls[5].__code__
 
 
 def _prime_power_by_trial_division(q):

@@ -1,6 +1,7 @@
 import builtins
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -488,6 +489,82 @@ def test_isometry_iff_factor_one():
         m = rng.choice(refls) * rng.choice(refls) * GroupElement.scalar(F3, 4, rng.choice([1, 2]))
         factor = similitude_factor(s, m)
         assert (factor == F3.one) == is_isometry(s, m)
+
+
+def _gram(space, m):
+    """q on each column of m, then B on each pair of columns."""
+    cols, d = list(zip(*m.rows)), space.dim
+    return [space.raw_q(c) for c in cols] + \
+        [space.raw_b(cols[i], cols[j]) for i in range(d) for j in range(i + 1, d)]
+
+
+def _reference_verdicts(space, m, want):
+    """is_isometry and the similitude factor's rep (or None) with the
+    elimination first, from the Gram values of m and those of the identity
+    (want); SingularMatrix for both on a singular m."""
+    if not m.is_invertible:
+        return SingularMatrix, SingularMatrix
+    f, got = space.field, _gram(space, m)
+    factor = next((f.raw_div(g, w) for g, w in zip(got, want) if w), None)
+    if not factor or any(g != f.raw_mul(factor, w) for g, w in zip(got, want)):
+        factor = None
+    return got == want, factor
+
+
+def _verdicts(space, m):
+    out = []
+    for check in (is_isometry, similitude_factor):
+        try:
+            verdict = check(space, m)
+        except SingularMatrix:
+            verdict = SingularMatrix
+        out.append(verdict.rep if isinstance(verdict, FieldElement) else verdict)
+    return tuple(out)
+
+
+def _all_matrices(f, d):
+    rows = list(product(range(f.q), repeat=d))
+    return (GroupElement(f, m) for m in product(rows, repeat=d))
+
+
+def _sampled_matrices(space, rng, count):
+    """Isometries r_u r_v, similitudes r_u r_v h with factor 2, each with one
+    entry redrawn, and uniform matrices, over F_3."""
+    f, d = space.field, space.dim
+    vectors = [v for v in space.enumerate_vectors() if space.raw_q(v.raws)]
+    h = GroupElement.of(f, [[2 if i == j < space.n + 1 else int(i == j) for j in range(d)]
+                            for i in range(d)])
+    for _ in range(count):
+        g = word_matrix(space, rng.sample(vectors, 2))
+        for m in (g, g * h):
+            yield m
+            rows = [list(row) for row in m.rows]
+            rows[rng.randrange(d)][rng.randrange(d)] = rng.randrange(f.q)
+            yield GroupElement(f, rows)
+        yield GroupElement(f, [[rng.randrange(f.q) for _ in range(d)] for _ in range(d)])
+
+
+def test_the_gram_pass_proves_invertibility():
+    """A matrix scaling q by a unit is invertible, so the elimination runs
+    only on a failing Gram check and every verdict and exception is kept:
+    every 4x4 matrix over F_2 on even(2), every 3x3 one on odd(F_2, 1),
+    where B has the radical e_3, and a sample over F_3."""
+    pointed = SplitSpace.pointed_even(F3, 1)
+    samples = [(SplitSpace.even(F2, 2), _all_matrices(F2, 4)),
+               (SplitSpace.odd(F2, 1), _all_matrices(F2, 3)),
+               (pointed, _sampled_matrices(pointed, random.Random(21), 400))]
+    factors = set()
+    for space, matrices in samples:
+        identity, seen = _gram(space, GroupElement.identity(space.field, space.dim)), set()
+        for m in matrices:
+            # the new verdicts first, so that they cannot read an elimination
+            # the reference cached on m
+            got = _verdicts(space, m)
+            assert got == _reference_verdicts(space, m, identity)
+            seen.add(got[0])
+            factors.add(got[1])
+        assert seen == {SingularMatrix, True, False}
+    assert factors == {SingularMatrix, None, 1, 2}
 
 
 # -- Dickson invariant ----------------------------------------------------------
