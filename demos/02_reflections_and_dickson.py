@@ -1,9 +1,8 @@
 """Split quadratic spaces, reflections, and the Dickson invariant.
 
-The three split shapes over a field F:
+The two split shapes over a field F:
 
     even:          q(x) = x_1 x_{n+1} + ... + x_n x_{2n}
-    odd:           the even form plus a final square term
     pointed even:  the even form in 2n+2 variables, carrying the vector 1
 
 Run with:  python demos/02_reflections_and_dickson.py

@@ -14,12 +14,9 @@ from .quadform import (
     SplitSpace,
     Vector,
     dickson,
-    embed_even_to_odd,
-    embed_odd_to_pointed,
     is_isometry,
     reflect,
     reflection_matrix,
-    similitude_factor,
     word_matrix,
 )
 from .quadric import (
@@ -36,12 +33,10 @@ from .quadric import (
 )
 from .action import (
     GroupContext,
-    act,
     enumerate_group,
     enumerate_isometries,
     group_order,
     in_o_odd,
-    in_so_even_stab,
     in_so_odd,
     orbit,
     stabilizer,
@@ -52,7 +47,6 @@ from .transport import (
     TransportCertificate,
     quadric_transport,
     reflection_transport,
-    similitude_transport,
     transport_all,
 )
 from .spinfactor import SpinFactor, verify_projective_space
@@ -71,20 +65,16 @@ __all__ = [
     "SplitSpace",
     "TransportCertificate",
     "Vector",
-    "act",
     "base_point",
     "count_closed_form",
     "count_recursive",
     "dickson",
-    "embed_even_to_odd",
-    "embed_odd_to_pointed",
     "enumerate_group",
     "enumerate_isometries",
     "enumerate_quadric",
     "from_ambient",
     "group_order",
     "in_o_odd",
-    "in_so_even_stab",
     "in_so_odd",
     "is_isometry",
     "is_on_quadric",
@@ -94,8 +84,6 @@ __all__ = [
     "reflect",
     "reflection_matrix",
     "reflection_transport",
-    "similitude_factor",
-    "similitude_transport",
     "stabilizer",
     "stratify",
     "to_ambient",

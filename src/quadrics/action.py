@@ -41,14 +41,12 @@ from operator import itemgetter
 from .errors import (
     DimensionMismatch,
     InvalidPrimePower,
-    NotAMember,
-    NotOnQuadric,
     QuadricsError,
     SearchExhausted,
     TooLarge,
 )
 from .fields import is_prime_power
-from .guards import BRUTE_GUARD, CLOSURE_GUARD, VECTOR_GUARD
+from .guards import BRUTE_GUARD, CLOSURE_GUARD, VECTOR_GUARD, exceeds
 from .quadform import (
     GroupElement,
     SplitSpace,
@@ -58,7 +56,7 @@ from .quadform import (
     raw_word,
     word_matrix,
 )
-from .quadric import AmbientQuadricPoint, _quadric_raws
+from .quadric import AmbientQuadricPoint, _point_guard, _quadric_raws
 from .transport import _two_reflections, dickson_fixer
 
 
@@ -112,24 +110,6 @@ def in_so_odd(ctx, m):
     return in_o_odd(ctx, m) and _dickson(ctx.space, m) == 0
 
 
-def in_so_even_stab(ctx, m):
-    """SO-model member fixing the base point x_0."""
-    return in_so_odd(ctx, m) and m.apply(ctx.x0) == ctx.x0
-
-
-def act(ctx, m, point):
-    """Apply an SO-model element to a quadric point; the image stays on the
-    quadric because q is preserved and t(mx) = B(mx, m1) = t(x)."""
-    if not isinstance(point, AmbientQuadricPoint) or point.space != ctx.space:
-        raise NotOnQuadric("point does not belong to this context's quadric")
-    key = ("in_so_odd", ctx.field.key, ctx.n)   # m is immutable: test it once
-    if key not in m.cache:
-        m.cache[key] = in_so_odd(ctx, m)
-    if not m.cache[key]:
-        raise NotAMember("matrix is not in the SO-model")
-    return AmbientQuadricPoint(ctx.space, m.apply(point.w))
-
-
 # -- reflection vectors and generators -------------------------------------
 
 def structured_trace_zero(ctx):
@@ -146,7 +126,7 @@ def trace_zero_reflection_vectors(ctx, force=False):
     f, d = ctx.field, ctx.dim
     if not f.is_finite:
         raise TooLarge("reflection sweep needs a finite field")
-    if not force and f.q ** (d - 1) > VECTOR_GUARD:
+    if not force and exceeds(f.q, d - 1, VECTOR_GUARD):
         raise TooLarge(f"{f.q}^{d - 1} trace-0 vectors exceeds the sweep guard")
     return [Vector(f, raws) for raws in _trace_zero_sweep(ctx)]
 
@@ -208,10 +188,6 @@ def enumerate_isometries(space, fix_one=False, dickson_value=None, force=False):
     bilinear form is nondegenerate on these shapes.
     """
     f, d = space.field, space.dim
-    if space.shape == "odd":
-        # the odd pairing degenerates in characteristic 2; odd-rank groups
-        # are modeled ambiently as 1-fixing isometries instead
-        raise DimensionMismatch("isometry enumeration works on even-rank shapes")
     _isometry_guard(space, force)
     if fix_one and space.shape != "pointed_even":
         raise DimensionMismatch("the one-vector lives in the pointed even space")
@@ -264,7 +240,7 @@ def _isometry_guard(space, force):
     f, d = space.field, space.dim
     if not f.is_finite:
         raise TooLarge("group enumeration needs a finite field")
-    if not force and f.q ** (d * d) > BRUTE_GUARD:
+    if not force and exceeds(f.q, d * d, BRUTE_GUARD):
         raise TooLarge(f"{f.q}^{d * d} candidate matrices exceeds the guard")
 
 
@@ -539,14 +515,15 @@ def verify_homogeneous(field, n, force=False):
     of those generators satisfies h = extend_even(restrict_even(h)), with
     its restriction an even-space isometry of Dickson invariant 0, so the
     stabilizer lies in extend_even(SO_{2n}); extend_even is injective, so
-    equal orders make the two equal.  The quadric's guard and the
-    stabilizer's guard fire before any enumeration starts.  The chain forms
-    transversals only where sifts land: (2,5) takes 127 matrix products and
-    8-14 ms in-process, forced (3,3) and (2,9) about 0.02 and 0.08 s (2
-    cores, Python 3.11).
+    equal orders make the two equal.  The quadric's guard, read from (q, n)
+    before any space is built, and the stabilizer's guard fire before any
+    enumeration starts.  The chain forms transversals only where sifts
+    land: (2,5) takes 127 matrix products and 8-14 ms in-process, forced
+    (3,3) and (2,9) about 0.02 and 0.08 s (2 cores, Python 3.11).
     """
+    _point_guard(field, n, force)
     ctx = GroupContext(field, n)
-    points = _quadric_raws(ctx.space, force=force)   # its guard fires here
+    points = _quadric_raws(ctx.space, force=force)
     found, gens = so_orbit_stabilizer(ctx, force=force)
     points = list(points)
 
@@ -633,13 +610,12 @@ def verify_similitude_orbit(field, n, force=False):
     directions with v_1 = 0 fixes e_{n+2}.  Every seed lies in the orbit, so
     equal sizes are equal sets, and if the pairs run out first the orbit is
     that of the group all pairs generate."""
-    space = SplitSpace.pointed_even(field, n)
-    f = space.field
-    d = space.dim
+    f, d = field, 2 * n + 2
     if not f.is_finite:
         raise TooLarge("similitude orbit needs a finite field")
-    if not force and f.q ** d > VECTOR_GUARD:
+    if not force and exceeds(f.q, d, VECTOR_GUARD):
         raise TooLarge(f"{f.q}^{d} vectors exceeds the sweep guard")
+    space = SplitSpace.pointed_even(f, n)
 
     inv, raw_q, lincomb = f.raw_inv, space.raw_q, f.raw_lincomb
     # 1/c for each square c^2 != 0 (in characteristic 2 every norm is a square)

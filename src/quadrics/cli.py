@@ -10,9 +10,9 @@ import json
 import sys
 
 from .action import GroupContext, verify_homogeneous, verify_similitude_orbit
-from .errors import NotOnQuadric, QuadricsError, TooLarge
+from .errors import DimensionMismatch, NotOnQuadric, QuadricsError, TooLarge
 from .fields import Field
-from .quadric import count_report, recursion_report
+from .quadric import _point_guard, count_report, recursion_report
 from .spinfactor import verify_projective_space
 from .transport import quadric_transport, transport_all
 from .quadform import Vector
@@ -118,14 +118,16 @@ def _cmd_verify(args):
 
 
 def _cmd_transport(args):
-    field = _field_of(args)
-    if args.n < 1:
+    """Both targets are checked against (q, n) before the context is built:
+    the point guard for --all, the length of --point."""
+    field, n = _field_of(args), args.n
+    if n < 1:
         raise ValueError("--n must be at least 1")
-    ctx = _context(field, args.n)
     if args.all:
-        certs, stats = transport_all(ctx, force=args.force)
+        _point_guard(field, n, args.force)
+        certs, stats = transport_all(_context(field, n), force=args.force)
         record = {
-            "check": "transport_all", "n": args.n, "field": str(field),
+            "check": "transport_all", "n": n, "field": str(field),
             "total": len(certs), "verified": sum(c.verified for c in certs),
             "paths": stats,
             "certificates": [c.to_dict() for c in certs],
@@ -134,9 +136,10 @@ def _cmd_transport(args):
         record["pass"] = not failed
         return record, failed
     coords = [field.parse_element(s) for s in args.point.split(",")]
+    if len(coords) != 2 * n + 2:
+        raise DimensionMismatch(f"space dim {2 * n + 2}, vector length {len(coords)}")
     target = Vector(field, (c.rep for c in coords))
-    cert = quadric_transport(ctx, target)
-    return cert.to_dict(), False
+    return quadric_transport(_context(field, n), target).to_dict(), False
 
 
 # -- output -------------------------------------------------------------------

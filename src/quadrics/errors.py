@@ -57,10 +57,6 @@ class NotAnIsometry(QuadricsError):
     pass
 
 
-class OddDimension(QuadricsError):
-    pass
-
-
 # -- quadric points and counting ----------------------------------------
 
 class InvariantViolation(QuadricsError):
@@ -77,10 +73,6 @@ class TooLarge(QuadricsError):
 
 # -- group actions -------------------------------------------------------
 
-class NotAMember(QuadricsError):
-    pass
-
-
 class NotOnQuadric(QuadricsError):
     pass
 
@@ -92,12 +84,4 @@ class NormMismatch(QuadricsError):
 
 
 class SearchExhausted(QuadricsError):
-    pass
-
-
-class IsotropicVector(QuadricsError):
-    pass
-
-
-class NonSquareNorm(QuadricsError):
     pass

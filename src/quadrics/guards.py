@@ -1,6 +1,6 @@
 """Size guards, one per kind of enumeration.  Each command compares a
-closed-form size with its guard before the enumeration starts and raises
-TooLarge above it; force=True (the CLI's --force) skips the check.
+closed-form size with its guard, from (q, n) before any space is built, and
+raises TooLarge above it; force=True (the CLI's --force) skips the check.
 
 digit_limit() is not a work bound and --force does not skip it: a report
 prints its counts in decimal, and Python converts no int of more digits than
@@ -15,6 +15,12 @@ CLOSURE_GUARD = 10 ** 6   # the SO-model listed by so_model_closure, and |Stab(x
                           # so_orbit_stabilizer; the chain never lists Stab(x_0), so this
                           # does not bound its work, and it refuses (n, q) = (3, 3),
                           # about 0.08 s forced (ROADMAP.md, item 1: a guard on the chain)
+
+
+def exceeds(q, e, guard):
+    """q^e > guard for a field order q >= 2, without computing a power past
+    the guard: q^e >= 2^e > guard once e reaches guard's bit length."""
+    return e >= guard.bit_length() or q ** e > guard
 
 
 def digit_limit():

@@ -1,9 +1,8 @@
-"""Split quadratic spaces, reflections, similitudes, and the Dickson invariant.
+"""Split quadratic spaces, reflections, isometries, and the Dickson invariant.
 
-Three shapes of split space over a field F:
+Two shapes of split space over a field F:
 
     even(n):          dim 2n,   q(x) = sum_{i<=n} x_i x_{n+i}
-    odd(n):           dim 2n+1, q(x) = sum_{i<=n} x_i x_{n+i} + x_{2n+1}^2
     pointed_even(n):  dim 2n+2, q(x) = sum_{i<=n+1} x_i x_{n+1+i}
 
 The pointed even space carries the distinguished vector 1 = e_{n+1} + e_{2n+2}
@@ -11,16 +10,16 @@ with q(1) = 1 and the trace form t(x) = B(x, 1) = x_{n+1} + x_{2n+2}.
 
 q and B are each one straight-line kernel f(u, w) = sum of u_i w_j over
 index pairs, generated by Field.bilinear on a space's first call and then
-kept on it: q(w) = f(w, w) over the hyperbolic pairs (and the odd square
-slot), and B(u, w) = f(u, w) over those pairs and their swaps.  The trace
-is one field addition.  A reflection r_v(w) = w - c v is one call to the
-field's linear-combination kernel raw_lincomb, and raw_word applies a word
-of raw letters (v, 1/q(v)) one reflection at a time.
+kept on it: q(w) = f(w, w) over the hyperbolic pairs, and B(u, w) =
+f(u, w) over those pairs and their swaps.  The trace is one field addition.
+A reflection r_v(w) = w - c v is one call to the field's linear-combination
+kernel raw_lincomb, and raw_word applies a word of raw letters (v, 1/q(v))
+one reflection at a time.
 
 A matrix m is tested against q through its Gram data: q of each column and B
-of each pair of columns, against the same values on the basis.  is_isometry
-and similitude_factor both read these pairs from _gram_pairs; a matrix that
-passes is invertible, so only a failing one is eliminated.
+of each pair of columns, against the same values on the basis, read from
+_gram_pairs by is_isometry; a matrix that passes is invertible, so only a
+failing one is eliminated.
 """
 
 from functools import cache
@@ -30,13 +29,12 @@ from .errors import (
     FieldMismatch,
     NonUnitNorm,
     NotAnIsometry,
-    OddDimension,
     SingularMatrix,
     WrongShape,
 )
 from .fields import FieldElement
 
-SHAPES = ("even", "odd", "pointed_even")
+SHAPES = ("even", "pointed_even")
 
 
 class Vector:
@@ -114,21 +112,18 @@ class Vector:
 
 
 def _dim(shape, n):
-    return {"even": 2 * n, "odd": 2 * n + 1, "pointed_even": 2 * n + 2}[shape]
+    return {"even": 2 * n, "pointed_even": 2 * n + 2}[shape]
 
 
 @cache
 def _pairs(shape, n):
-    """The index pairs (i, j) with q(x) = sum x_i x_j; the odd shape's square
-    term x_{2n+1}^2 is the pair (2n, 2n).  Shared by every space of one shape
-    and rank."""
-    h = n + 1 if shape == "pointed_even" else n
-    pairs = tuple((i, h + i) for i in range(h))
-    return pairs + ((2 * n, 2 * n),) if shape == "odd" else pairs
+    """The hyperbolic pairs (i, i + h) with q(x) = sum x_i x_{i+h}, h = dim/2.
+    Shared by every space of one shape and rank."""
+    h = _dim(shape, n) // 2
+    return tuple((i, h + i) for i in range(h))
 
 
-# The index pairs of each form kernel of a space; B's swaps give the odd
-# square slot twice, 2 u w.
+# The index pairs of each form kernel of a space.
 _KERNEL_PAIRS = {
     "_q": lambda s: s.pairs,
     "_b": lambda s: s.pairs + tuple((j, i) for i, j in s.pairs),
@@ -136,7 +131,7 @@ _KERNEL_PAIRS = {
 
 
 class SplitSpace:
-    """A split quadratic space of one of the three shapes above; its form
+    """A split quadratic space of one of the two shapes above; its form
     kernels are built on first use, so constructing it compiles nothing."""
 
     __slots__ = ("field", "shape", "n", "dim", "pairs", "_q", "_b")
@@ -155,10 +150,6 @@ class SplitSpace:
     @classmethod
     def even(cls, field, n):
         return cls(field, "even", n)
-
-    @classmethod
-    def odd(cls, field, n):
-        return cls(field, "odd", n)
 
     @classmethod
     def pointed_even(cls, field, n):
@@ -182,25 +173,19 @@ class SplitSpace:
         return Vector.of(self.field, vals)
 
     def one_vector(self):
-        """The distinguished vector with q = 1 for this shape."""
+        """The distinguished vector with q = 1: e_i + e_j for the last
+        hyperbolic pair (i, j)."""
         vals = [0] * self.dim
-        n = self.n
-        if self.shape == "even":
-            vals[n - 1] = 1
-            vals[2 * n - 1] = 1
-        elif self.shape == "odd":
-            vals[2 * n] = 1
-        else:
-            vals[n] = 1
-            vals[2 * n + 1] = 1
+        for i in self.pairs[-1]:
+            vals[i] = 1
         return Vector.of(self.field, vals)
 
     def structured_vectors(self):
-        """e_i +/- e_j for each hyperbolic pair (i, j), without repeats, then
-        e_{2n+1} on the odd shape; each has q = +/-1."""
+        """e_i +/- e_j for each hyperbolic pair (i, j), without repeats; each
+        has q = +/-1."""
         out = []
         for i, j in self.pairs:
-            for sign in (1, -1) if i != j else (1,):
+            for sign in (1, -1):
                 vals = [0] * self.dim
                 vals[i] = 1
                 vals[j] = sign
@@ -242,15 +227,9 @@ class SplitSpace:
         return self._b(u, w)
 
     def raw_polar(self, raws):
-        """(B(v, e_1), ..., B(v, e_d)): each coordinate's hyperbolic partner,
-        and 2 v_{2n+1} in the last slot of the odd shape."""
-        n = self.n
-        if self.shape == "pointed_even":
-            return raws[n + 1:] + raws[:n + 1]
-        out = raws[n:2 * n] + raws[:n]
-        if self.shape == "odd":
-            out += (self.field.raw_add(raws[2 * n], raws[2 * n]),)
-        return out
+        """(B(v, e_1), ..., B(v, e_d)): each coordinate's hyperbolic partner."""
+        h = self.dim // 2
+        return raws[h:] + raws[:h]
 
     def eval_q(self, v):
         self._check_dim(v)
@@ -440,13 +419,12 @@ def raw_word(space, letters, w):
     return w
 
 
-def word_matrix(space, word, scalar=None):
-    """The matrix of r_{v_1} ... r_{v_m}, times the scalar c if one is given:
-    column j is the word applied, right to left, to c e_{j+1}."""
+def word_matrix(space, word):
+    """The matrix of r_{v_1} ... r_{v_m}: column j is the word applied, right
+    to left, to e_{j+1}."""
     letters = [_reflector(space, v) for v in word]
-    c = 1 if scalar is None else space.field.element(scalar).rep
     d = space.dim
-    cols = [raw_word(space, letters, (0,) * j + (c,) + (0,) * (d - 1 - j)) for j in range(d)]
+    cols = [raw_word(space, letters, (0,) * j + (1,) + (0,) * (d - 1 - j)) for j in range(d)]
     return GroupElement.from_columns(space.field, cols)
 
 
@@ -455,17 +433,16 @@ def reflection_matrix(space, v):
     return word_matrix(space, [v])
 
 
-# -- isometries and similitudes ----------------------------------------------
+# -- isometries ----------------------------------------------------------------
 
 @cache
 def _basis_form_values(shape, n):
     """q(e_j), then ((i, j), B(e_i, e_j)) for i < j, as raw 0/1 read from
-    _pairs: q(e_j) = 1 only on the odd shape's square slot, and B(e_i, e_j)
-    = 1 exactly on a hyperbolic pair.  Shared by every space of one shape
-    and rank, over every field."""
+    _pairs: q(e_j) = 0, and B(e_i, e_j) = 1 exactly on a hyperbolic pair.
+    Shared by every space of one shape and rank, over every field."""
     pairs = _pairs(shape, n)
     d = _dim(shape, n)
-    q_vals = tuple(int((j, j) in pairs) for j in range(d))
+    q_vals = (0,) * d
     b_vals = tuple(((i, j), int((i, j) in pairs))
                    for i in range(d) for j in range(i + 1, d))
     return q_vals, b_vals
@@ -473,8 +450,8 @@ def _basis_form_values(shape, n):
 
 def _gram_pairs(space, m):
     """(got, want) for q on each column of m, then B on each pair of columns,
-    against the basis values: m scales q by c iff got = c * want throughout,
-    over any ring.  Only the field and the dimension are checked here."""
+    against the basis values: m preserves q iff got = want throughout, over
+    any ring.  Only the field and the dimension are checked here."""
     _check_shape(space, m)
     cols = tuple(zip(*m.rows))
     q_vals, b_vals = _basis_form_values(space.shape, space.n)
@@ -484,12 +461,9 @@ def _gram_pairs(space, m):
         yield space.raw_b(cols[i], cols[j]), want
 
 
-# A matrix that scales q by a unit c is invertible: if m v = 0, then
-# c B(v, x) = B(m v, m x) = 0 for every x and c q(v) = q(m v) = 0, so v lies
-# in the radical of B and q(v) = 0.  That radical is 0, except on the odd
-# shape in characteristic 2, where it is the line of e_{2n+1} and q(a e) =
-# a^2.  So v = 0, and is_isometry and similitude_factor eliminate m only
-# when the Gram check fails, to raise SingularMatrix on a singular m.
+# B is nondegenerate on both shapes, so an isometry is invertible, and
+# is_isometry eliminates m only when the Gram check fails, to raise
+# SingularMatrix on a singular m.
 
 def is_isometry(space, m):
     """True iff m preserves q; stops at the first Gram value that differs.
@@ -500,23 +474,9 @@ def is_isometry(space, m):
     return False
 
 
-def similitude_factor(space, m):
-    """The unit c with q(mx) = c q(x) for all x, or None if there is none.
-    A singular m raises SingularMatrix."""
-    f = space.field
-    pairs = list(_gram_pairs(space, m))
-    factor = next((f.raw_div(got, want) for got, want in pairs if want), None)
-    if factor and all(got == f.raw_mul(factor, want) for got, want in pairs):
-        return FieldElement(f, factor)
-    _check_matrix(space, m)
-    return None
-
-
 def dickson(space, m):
     """Dickson invariant in {0, 1} of an isometry of an even-dimensional
     split space: rank(m - 1) mod 2 in characteristic 2, else 0 iff det = 1."""
-    if space.shape == "odd":
-        raise OddDimension("Dickson invariant is exposed on even-rank shapes only")
     _check_matrix(space, m)
     if not is_isometry(space, m):
         raise NotAnIsometry("Dickson invariant of a non-isometry")
@@ -525,7 +485,7 @@ def dickson(space, m):
 
 def _dickson(space, m):
     """dickson() for a matrix the caller has just shown to be an isometry of
-    this even-rank space."""
+    this space."""
     f = space.field
     if f.characteristic == 2:
         shifted = GroupElement(f, [row[:i] + (f.raw_sub(row[i], 1),) + row[i + 1:]
@@ -546,24 +506,3 @@ def _check_matrix(space, m):
     if not m.is_invertible:
         raise SingularMatrix("matrix is singular")
 
-
-# -- stabilization embeddings -------------------------------------------------
-
-def embed_odd_to_pointed(v):
-    """(x_1..x_{2n+1}) -> (x_1..x_n, x_{2n+1}, x_{n+1}..x_{2n}, x_{2n+1});
-    q-preserving, and sends the odd one-vector to the pointed one-vector."""
-    d = len(v.raws)
-    if d % 2 == 0 or d < 3:
-        raise DimensionMismatch(f"expected odd length >= 3, got {d}")
-    n = (d - 1) // 2
-    r = v.raws
-    out = r[:n] + (r[2 * n],) + r[n:2 * n] + (r[2 * n],)
-    return Vector(v.field, out)
-
-
-def embed_even_to_odd(v):
-    """Append a final zero coordinate; q-preserving."""
-    d = len(v.raws)
-    if d % 2 or d < 2:
-        raise DimensionMismatch(f"expected even length >= 2, got {d}")
-    return Vector(v.field, v.raws + (0,))

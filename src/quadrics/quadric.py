@@ -18,7 +18,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import FieldElement, is_prime_power
-from .guards import ENUM_GUARD, digit_limit
+from .guards import ENUM_GUARD, digit_limit, exceeds
 from .quadform import SplitSpace, Vector
 
 
@@ -162,15 +162,20 @@ def _quadric_raws(space, force=False):
     rather than q^(2n+2).  The field, shape and size are checked here,
     before the first point is drawn.
     """
-    f = space.field
-    if not f.is_finite:
-        raise InfiniteField("cannot enumerate points over the rationals")
+    _point_guard(space.field, space.n, force)
     if space.shape != "pointed_even":
         raise InvariantViolation("ambient points live in the pointed even space")
-    n = space.n
-    if not force and f.q ** (2 * n + 1) > ENUM_GUARD:
-        raise TooLarge(f"{f.q}^{2 * n + 1} points exceeds the enumeration guard")
     return _sweep_quadric(space)
+
+
+def _point_guard(field, n, force=False):
+    """Refuse to enumerate the points of Q_{2n} over the rationals, or over
+    F_q past the guard on q^(2n+1), from (q, n) alone: callers check it before
+    they build a space."""
+    if not field.is_finite:
+        raise InfiniteField("cannot enumerate points over the rationals")
+    if not force and exceeds(field.q, 2 * n + 1, ENUM_GUARD):
+        raise TooLarge(f"{field.q}^{2 * n + 1} points exceeds the enumeration guard")
 
 
 def _sweep_quadric(space):

@@ -14,7 +14,7 @@ identity at t(x) = 1 reads x - q(x) 1 = x, forcing q(x) = 0.
 from itertools import product
 
 from .errors import TooLarge
-from .guards import ENUM_GUARD
+from .guards import ENUM_GUARD, exceeds
 from .quadform import SplitSpace, Vector
 
 
@@ -77,12 +77,12 @@ def verify_projective_space(field, n, force=False):
     only it is swept: x_1..x_{2n+1} run over F_q and x_{2n+2} = 1 - x_{n+1},
     q^{2n+1} vectors, each tested against both predicates, with t(x) and
     q(x) evaluated once per vector."""
-    sf = SpinFactor(field, n)
-    space = sf.space
     if not field.is_finite:
         raise TooLarge("the projective-space check enumerates a finite field")
-    if not force and field.q ** space.dim > ENUM_GUARD:
-        raise TooLarge(f"{field.q}^{space.dim} vectors exceeds the guard")
+    if not force and exceeds(field.q, 2 * n + 2, ENUM_GUARD):
+        raise TooLarge(f"{field.q}^{2 * n + 2} vectors exceeds the guard")
+    sf = SpinFactor(field, n)
+    space = sf.space
     square, raw_trace, raw_q = sf._raw_square, space.raw_trace, space.raw_q
     sub, one = field.raw_sub, field.one.rep
     idempotents = 0

@@ -8,9 +8,9 @@ Two-case rule for moving x to y with q(x) = q(y) = q:
            r_w(r_{w'}(x)) = y.
 
 _two_reflections is the rule's one implementation, on raw letters
-(v, 1/q(v)) with the norms from these identities, behind the three
+(v, 1/q(v)) with the norms from these identities, behind the two
 transports here and action.verify_similitude_orbit.  reflection_transport
-and similitude_transport draw w from the structured vectors and a sweep.
+draws w from the structured vectors and a sweep.
 For quadric points every reflection vector has trace 0, so the assembled
 element fixes 1, and there is no search: the rule moves the point p to
 x_0 with the one auxiliary a = e_{n+1} - e_{2n+2}, which serves in case 2
@@ -19,53 +19,47 @@ case-1 word is followed by r_{u*}, u* = e_1 + e_{n+2} (which fixes both 1
 and x_0), to land in the Dickson-0 model.
 Each certificate costs O(d^3).  TransportCertificate.verify is its one check:
 construction runs it, and so can any later caller.  It evaluates q on each
-letter, makes one Gram pass for the similitude factor and computes the
-Dickson invariant from the matrix.
+letter, makes one Gram pass for is_isometry and computes the Dickson
+invariant from the matrix.
 """
 
 from itertools import product
 
 from .errors import (
-    InfiniteField,
     InvariantViolation,
-    IsotropicVector,
-    NonSquareNorm,
     NonUnitNorm,
     NormMismatch,
     NotOnQuadric,
     SearchExhausted,
 )
-from .fields import FieldElement
-from .quadform import Vector, _dickson, similitude_factor, word_matrix
+from .quadform import Vector, _dickson, is_isometry, word_matrix
 from .quadric import AmbientQuadricPoint, enumerate_quadric, is_on_quadric
 
 DEFAULT_HEIGHT = 5
 
 
 class TransportCertificate:
-    """A reflection word (plus optional scalar) with its assembled matrix.
+    """A reflection word with its assembled matrix.
 
     The word [v_1, ..., v_m] acts right to left: the assembled element is
-    r_{v_1} ... r_{v_m} composed with the scalar, which commutes.  Applying
-    it to `source` yields `target`.  `verify()` is the one check: the call
-    made at construction records the Dickson invariant it computes and sets
-    `verified`; each later call recomputes everything from the matrix.  A
-    word vector with q = 0 fails it, so construction raises
-    InvariantViolation for it too.
+    r_{v_1} ... r_{v_m}.  Applying it to `source` yields `target`.
+    `verify()` is the one check: the call made at construction records the
+    Dickson invariant it computes and sets `verified`; each later call
+    recomputes everything from the matrix.  A word vector with q = 0 fails
+    it, so construction raises InvariantViolation for it too.
     """
 
-    __slots__ = ("space", "word", "scalar", "source", "target", "matrix",
-                 "dickson", "path", "verified")
+    __slots__ = ("space", "word", "source", "target", "matrix", "dickson", "path",
+                 "verified")
 
-    def __init__(self, space, word, scalar, source, target, path):
+    def __init__(self, space, word, source, target, path):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "word", tuple(word))
-        object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "path", path)
         try:
-            matrix = word_matrix(space, self.word, scalar)
+            matrix = word_matrix(space, self.word)
         except NonUnitNorm:
             matrix = None   # verify() stops at the letter with q = 0
         object.__setattr__(self, "matrix", matrix)
@@ -80,20 +74,16 @@ class TransportCertificate:
     def verify(self):
         """Recheck the certificate from the word and the matrix: word vectors
         have invertible norm, the matrix moves source to target, and one Gram
-        pass gives similitude factor scalar^2 (1 without a scalar).  With
-        factor 1 on an even shape the Dickson invariant is computed from the
-        matrix; the first call records it, later calls compare against it."""
+        pass shows it an isometry.  The Dickson invariant is then computed
+        from the matrix; the first call records it, later calls compare
+        against it."""
         space = self.space
         for v in self.word:
             if not space.raw_q(v.raws):
                 return False
-        if self.matrix.apply(self.source) != self.target:
+        if self.matrix.apply(self.source) != self.target or not is_isometry(space, self.matrix):
             return False
-        factor = similitude_factor(space, self.matrix)
-        one = space.field.one
-        if factor != (one if self.scalar is None else self.scalar * self.scalar):
-            return False
-        d = _dickson(space, self.matrix) if factor == one and space.shape != "odd" else None
+        d = _dickson(space, self.matrix)
         if not self.verified:
             object.__setattr__(self, "dickson", d)
         return d == self.dickson
@@ -104,7 +94,7 @@ class TransportCertificate:
     def to_dict(self):
         return {
             "word": [v.to_strings() for v in self.word],
-            "scalar": None if self.scalar is None else str(self.scalar),
+            "scalar": None,   # no certificate is scaled; the record keeps its keys
             "dickson": self.dickson,
             "source": self.source.to_strings(),
             "target": self.target.to_strings(),
@@ -158,25 +148,20 @@ def _two_reflections(space, x, y, q, auxiliaries):
 
 # -- the transport operations -------------------------------------------------
 
-def _transport_word(space, x, y, candidates):
-    """(word, path) of the rule moving the vector x to the vector y: q(x) =
-    q(y) is checked here, and candidates with q = 0 are skipped."""
+def reflection_transport(space, x, y):
+    """A verified word of at most two reflections moving x to y.  q(x) = q(y)
+    is checked here, and case 2 searches w over _candidates, skipping those
+    with q = 0."""
+    space._check_dim(x)
+    space._check_dim(y)
     qx, qy = space.raw_q(x.raws), space.raw_q(y.raws)
     if qx != qy:
         raise NormMismatch(f"q(x) = {qx} but q(y) = {qy}")
     raw_q, inv = space.raw_q, space.field.raw_inv
-    auxiliaries = ((v.raws, inv(qv)) for v in candidates if (qv := raw_q(v.raws)))
+    auxiliaries = ((v.raws, inv(qv)) for v in _candidates(space) if (qv := raw_q(v.raws)))
     letters, path = _two_reflections(space, x.raws, y.raws, qx, auxiliaries)
-    return [Vector(space.field, v) for v, _ in letters], path
-
-
-def reflection_transport(space, x, y):
-    """A verified word of at most two reflections moving x to y, which need
-    q(x) = q(y); case 2 searches w over _candidates."""
-    space._check_dim(x)
-    space._check_dim(y)
-    word, path = _transport_word(space, x, y, _candidates(space))
-    return TransportCertificate(space, word, None, x, y, path)
+    word = [Vector(space.field, v) for v, _ in letters]
+    return TransportCertificate(space, word, x, y, path)
 
 
 def dickson_fixer(ctx):
@@ -225,29 +210,7 @@ def quadric_transport(ctx, point):
         word.append(dickson_fixer(ctx))
     if any(space.raw_trace(v.raws) for v in word):
         raise InvariantViolation("quadric transport word left the trace-0 subspace")
-    return TransportCertificate(space, word, None, ctx.x0, target, path)
-
-
-def similitude_transport(space, v):
-    """A certificate scaling v to norm 1 and reflecting it onto the
-    one-vector; fails with NonSquareNorm when 1/q(v) is not a square, the
-    rational-point obstruction to similitude transitivity."""
-    space._check_dim(v)
-    f = space.field
-    qv = space.raw_q(v.raws)
-    if not qv:
-        raise IsotropicVector("q(v) = 0")
-    one = space.one_vector()
-    if v == one:
-        return TransportCertificate(space, [], None, v, one, "identity")
-    if not f.is_finite:
-        raise InfiniteField("similitude transport searches square roots in finite fields")
-    lam = f.raw_sqrt(f.raw_inv(qv))
-    if lam is None:
-        raise NonSquareNorm(f"1/q(v) = {f.raw_inv(qv)} is not a square")
-    scalar = FieldElement(f, lam)
-    word, path = _transport_word(space, v.scale(scalar), one, _candidates(space))
-    return TransportCertificate(space, word, scalar, v, one, "scaled_" + path)
+    return TransportCertificate(space, word, ctx.x0, target, path)
 
 
 def transport_all(ctx, force=False):

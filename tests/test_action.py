@@ -4,8 +4,6 @@ import pytest
 
 from quadrics.errors import (
     InvalidPrimePower,
-    NotAMember,
-    NotOnQuadric,
     SearchExhausted,
     TooLarge,
 )
@@ -19,19 +17,17 @@ from quadrics.quadform import (
     raw_word,
     reflection_matrix,
 )
-from quadrics.quadric import base_point, count_closed_form, enumerate_quadric
+from quadrics.quadric import base_point, count_closed_form, enumerate_quadric, is_on_quadric
 from quadrics.action import (
     GroupContext,
     OrbitStabilizer,
     _auxiliaries_to_one,
     _normalize_raws,
     _trace_zero_sweep,
-    act,
     enumerate_group,
     enumerate_isometries,
     group_order,
     in_o_odd,
-    in_so_even_stab,
     in_so_odd,
     orbit,
     so_model_closure,
@@ -104,35 +100,17 @@ def test_in_so_odd():
     v = c.space.vector([1, 0, 1, 0])
     ru, rv = reflection_matrix(c.space, u), reflection_matrix(c.space, v)
     assert in_so_odd(c, ru * rv)
+    assert (ru * rv).apply(c.x0) == c.space.basis_vector(1)
     assert not in_so_odd(c, ru)          # single reflection has Dickson 1
     assert in_so_odd(c, GroupElement.identity(F3, 4))
-
-
-def test_in_so_even_stab():
-    c = ctx3()
-    assert in_so_even_stab(c, GroupElement.identity(F3, 4))
+    # the extended even group fixes x_0; its Dickson-1 half leaves the SO-model
     swap = GroupElement.of(F3, [[0, 1], [1, 0]])    # e_1 <-> e_{n+2} on V_2
     extended = c.extend_even(swap)
     assert dickson(c.space, extended) == 1
-    assert not in_so_even_stab(c, extended)
-    pair = reflection_matrix(c.even_space, c.even_space.vector([1, 1])) * \
-        reflection_matrix(c.even_space, c.even_space.vector([1, 2]))
-    assert in_so_even_stab(c, c.extend_even(pair))
-
-
-def test_act():
-    c = ctx3()
-    x0 = base_point(c.space)
-    identity = GroupElement.identity(F3, 4)
-    assert act(c, identity, x0) == x0
-    g = reflection_matrix(c.space, c.space.vector([0, 1, 0, 2])) * \
-        reflection_matrix(c.space, c.space.vector([1, 0, 1, 0]))
-    image = act(c, g, x0)
-    assert image.w == c.space.basis_vector(1)
-    with pytest.raises(NotAMember):
-        act(c, reflection_matrix(c.space, c.space.vector([0, 1, 0, 2])), x0)
-    with pytest.raises(NotOnQuadric):
-        act(ctx2(), identity, x0)
+    assert not in_so_odd(c, extended)
+    pair = c.extend_even(reflection_matrix(c.even_space, c.even_space.vector([1, 1])) *
+                         reflection_matrix(c.even_space, c.even_space.vector([1, 2])))
+    assert in_so_odd(c, pair) and pair.apply(c.x0) == c.x0
 
 
 def test_in_so_odd_makes_one_gram_pass(monkeypatch):
@@ -149,34 +127,17 @@ def test_in_so_odd_makes_one_gram_pass(monkeypatch):
     assert calls == [g]
 
 
-def test_act_tests_membership_once_per_matrix(monkeypatch):
-    import quadrics.action as action
-    c = ctx3()
-    points = enumerate_quadric(c.space)
-    calls = []
-    real = action.in_so_odd
-    monkeypatch.setattr(action, "in_so_odd", lambda ctx, m: calls.append(m) or real(ctx, m))
-    g = reflection_matrix(c.space, c.space.vector([0, 1, 0, 2])) * \
-        reflection_matrix(c.space, c.space.vector([1, 0, 1, 0]))
-    r = reflection_matrix(c.space, c.space.vector([0, 1, 0, 2]))
-    for p in points:
-        act(c, g, p)
-        with pytest.raises(NotAMember):   # a cached refusal still refuses
-            act(c, r, p)
-    assert calls == [g, r]
-
-
 @pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F4, 1), (F2, 2)])
 def test_act_preserves_quadric_exhaustive(field, n):
-    from quadrics.quadric import is_on_quadric
+    # every SO-model element maps every quadric point to a quadric point
     c = GroupContext(field, n)
     members = enumerate_group(c, "so_odd")
     points = enumerate_quadric(c.space)
     for m in members:
         for p in points:
-            image = act(c, m, p)
-            assert is_on_quadric(c.space, image.w)
-            assert c.space.trace(m.apply(p.w)) == c.space.trace(p.w)
+            image = m.apply(p.w)
+            assert is_on_quadric(c.space, image)
+            assert c.space.trace(image) == c.space.trace(p.w)
 
 
 def test_dickson_unrestricted_stabilizer_is_extended_even_o_group():
@@ -291,6 +252,24 @@ def test_enumerate_group_has_no_method_option(call):
 def test_every_exported_name_resolves():
     import quadrics
     assert [name for name in quadrics.__all__ if not hasattr(quadrics, name)] == []
+
+
+def test_readme_public_names_are_the_exported_names():
+    # each "- `module`: `name`, ..." item of the README's "Public names"
+    # list, continuation lines included, names what that module defines
+    import importlib
+    import re
+    from pathlib import Path
+    import quadrics
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Public names\n", 1)[1].split("\nEach question", 1)[0]
+    listed = []
+    for item in section.split("\n- ")[1:]:
+        module, *names = re.findall(r"`(\w+)`", item)
+        listed += names
+        assert all(hasattr(importlib.import_module(f"quadrics.{module}"), n) for n in names)
+    assert sorted(listed) == sorted(quadrics.__all__)
+    assert len(listed) == len(set(listed))
 
 
 def test_closure_matches_direct_so5_f2():

@@ -606,6 +606,28 @@ def test_homogeneous_point_guard_fires_before_the_chain(capsys):
     _refused_at_once(capsys, "1", "467", "467^3 points exceeds the enumeration guard")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "homogeneous"], "3^2000001 points exceeds the enumeration guard"),
+    (["transport", "--all"], "3^2000001 points exceeds the enumeration guard"),
+    (["verify", "spin"], "3^2000002 vectors exceeds the guard"),
+    (["verify", "similitude"], "3^2000002 vectors exceeds the sweep guard"),
+    (["transport", "--point", "0,0,0,1"], "space dim 2000002, vector length 4"),
+], ids=["homogeneous", "transport-all", "spin", "similitude", "point-length"])
+def test_refusals_at_large_n_build_nothing(capsys, monkeypatch, argv, message):
+    # each guard reads (q, n) alone: no space of dimension 2n+2 is built first
+    from quadrics.quadform import SplitSpace
+    from quadrics.spinfactor import SpinFactor
+    built = []
+    for cls in (SplitSpace, GroupContext, SpinFactor):
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real:
+                            built.append(type(self).__name__) or real(self, *args))
+    cli._context.cache_clear()
+    assert main(argv + ["--n", str(10 ** 6), "--field", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert built == []
+
+
 # `verify homogeneous` reports as the whole-group enumeration printed them
 # ((2, 2^2): as the column search of check (d) printed it under --force);
 # the stabilizer chain must reproduce them byte for byte.

@@ -10,7 +10,6 @@ from quadrics.errors import (
     DimensionMismatch,
     NonUnitNorm,
     NotAnIsometry,
-    OddDimension,
     SingularMatrix,
     WrongShape,
 )
@@ -24,13 +23,10 @@ from quadrics.quadform import (
     SplitSpace,
     Vector,
     dickson,
-    embed_even_to_odd,
-    embed_odd_to_pointed,
     _basis_form_values,
     is_isometry,
     reflect,
     reflection_matrix,
-    similitude_factor,
     word_matrix,
 )
 
@@ -49,11 +45,6 @@ def test_eval_q_even():
     assert s.eval_q(s.vector([1, 2, 3, 4])) == Q.element(11)   # 1*3 + 2*4
 
 
-def test_eval_q_odd_char2():
-    s = SplitSpace.odd(F2, 1)
-    assert s.eval_q(s.vector([1, 1, 1])) == F2.zero            # 1 + 1
-
-
 def test_eval_q_pointed_one():
     for f in (F2, F3, F5, Q):
         s = SplitSpace.pointed_even(f, 1)
@@ -70,9 +61,6 @@ def test_eval_b_closed_forms():
     s = SplitSpace.pointed_even(F3, 1)
     v = s.vector([1, 2, 0, 1])
     assert s.eval_b(v, v) == 2 * s.eval_q(v)
-    odd2 = SplitSpace.odd(F2, 1)
-    e3 = odd2.basis_vector(2)
-    assert odd2.eval_b(e3, e3) == F2.zero       # the 2 x_3 y_3 term vanishes
     assert s.eval_b(s.basis_vector(0), s.basis_vector(2)) == F3.one
 
 
@@ -110,7 +98,6 @@ def _element_forms(s):
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generated_form_kernels_match_the_definition(f, shape, n):
-    """Over F_2 and GF(4) the odd shape's square slot gives B(e, e) = 2 = 0."""
     s = SplitSpace(f, shape, n)
     q, b, t = _element_forms(s)
     rng = random.Random(f"{f}-{shape}-{n}")
@@ -177,7 +164,7 @@ def test_count_compiles_each_source_once(compiled_sources, capsys):
 
 def test_polarization_identity_exhaustive():
     for f in (F2, F3):
-        for shape in ("even", "odd", "pointed_even"):
+        for shape in SHAPES:
             s = SplitSpace(f, shape, 1)
             for v in s.enumerate_vectors():
                 for w in s.enumerate_vectors():
@@ -214,8 +201,7 @@ def test_trace_equals_pairing_with_one():
 def test_one_vectors():
     assert SplitSpace.pointed_even(F3, 1).one_vector().to_strings() == ["0", "1", "0", "1"]
     assert SplitSpace.even(F3, 2).one_vector().to_strings() == ["0", "1", "0", "1"]
-    assert SplitSpace.odd(F3, 1).one_vector().to_strings() == ["0", "0", "1"]
-    for shape in ("even", "odd", "pointed_even"):
+    for shape in SHAPES:
         s = SplitSpace(F5, shape, 2)
         assert s.eval_q(s.one_vector()) == F5.one
 
@@ -223,7 +209,6 @@ def test_one_vectors():
 @pytest.mark.parametrize("f,shape,n,expected", [
     (F3, "pointed_even", 1, [[1, 0, 1, 0], [1, 0, 2, 0], [0, 1, 0, 1], [0, 1, 0, 2]]),
     (F2, "pointed_even", 1, [[1, 0, 1, 0], [0, 1, 0, 1]]),
-    (F3, "odd", 1, [[1, 1, 0], [1, 2, 0], [0, 0, 1]]),
     (Q, "even", 2, [[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 1], [0, 1, 0, -1]]),
 ])
 def test_structured_vectors(f, shape, n, expected):
@@ -284,10 +269,6 @@ def test_reflection_laws_rational(v_vals, w_vals):
 
 
 def test_reflection_matrix_examples():
-    s = SplitSpace.odd(F3, 1)
-    m = reflection_matrix(s, s.basis_vector(2))
-    assert m == GroupElement.of(F3, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-
     s2 = SplitSpace.even(Q, 1)
     m2 = reflection_matrix(s2, s2.vector([1, 1]))
     assert m2 == GroupElement.of(Q, [[0, -1], [-1, 0]])
@@ -310,12 +291,6 @@ def closed_form_reflection(s, v):
                                for i, vi in enumerate(v.coords)])
 
 
-def random_unit(f, rng):
-    if f.q is None:
-        return f.element(Fraction(rng.randrange(1, 5), rng.randrange(1, 5)))
-    return FieldElement(f, rng.randrange(1, f.q))
-
-
 def random_reflector(s, rng):
     """A vector with q != 0, its raw coordinates drawn over the whole field
     (small integers over Q)."""
@@ -328,7 +303,7 @@ def random_reflector(s, rng):
 
 
 @pytest.mark.parametrize("f", [F2, F3, F9, Q], ids=str)
-@pytest.mark.parametrize("shape", ["even", "odd", "pointed_even"])
+@pytest.mark.parametrize("shape", SHAPES)
 def test_reflection_matrix_columns_are_reflected_basis(f, shape):
     # the matrix against reflect() applied to each basis vector, and against
     # the closed form I - v (B(v, e_j) / q(v))_j
@@ -348,10 +323,9 @@ def test_reflection_matrix_columns_are_reflected_basis(f, shape):
 
 
 @pytest.mark.parametrize("f", [F2, F3, F9, Q], ids=str)
-@pytest.mark.parametrize("shape", ["even", "odd", "pointed_even"])
+@pytest.mark.parametrize("shape", SHAPES)
 def test_word_matrix_is_the_product_of_reflections(f, shape):
-    # the product of closed-form reflection matrices times the scalar matrix,
-    # for words of length 0 to 3, with and without a scalar
+    # the product of closed-form reflection matrices, for words of length 0 to 3
     s = SplitSpace(f, shape, 2)
     rng = random.Random(11)
     for length in range(4):
@@ -361,8 +335,6 @@ def test_word_matrix_is_the_product_of_reflections(f, shape):
             for v in word:
                 product = product * closed_form_reflection(s, v)
             assert word_matrix(s, word) == product
-            c = random_unit(f, rng)
-            assert word_matrix(s, word, c) == product * GroupElement.scalar(f, s.dim, c)
 
 
 @pytest.mark.parametrize("f", [F2, F3, F9, Q], ids=str)
@@ -374,8 +346,6 @@ def test_word_matrix_refuses_an_isotropic_vector_anywhere(f, position):
     word[position] = s.basis_vector(0)     # q(e_1) = 0
     with pytest.raises(NonUnitNorm):
         word_matrix(s, word)
-    with pytest.raises(NonUnitNorm):
-        word_matrix(s, word, f.one)
     with pytest.raises(NonUnitNorm):
         reflection_matrix(s, word[position])
     word[position] = Vector.of(f, [1, 1, 1])
@@ -470,25 +440,8 @@ def test_is_isometry():
     assert is_isometry(s, reflection_matrix(s, s.one_vector()))
     even = SplitSpace.even(F5, 1)
     assert not is_isometry(even, GroupElement.scalar(F5, 2, 2))
-
-
-def test_similitude_factor():
-    s = SplitSpace.pointed_even(F5, 1)
-    assert similitude_factor(s, GroupElement.scalar(F5, 4, 2)) == F5.element(4)
-    assert similitude_factor(s, reflection_matrix(s, s.one_vector())) == F5.one
-    even = SplitSpace.even(F3, 1)
-    shear = GroupElement.of(F3, [[1, 1], [0, 1]])   # e2 -> e1 + e2
-    assert similitude_factor(even, shear) is None
-
-
-def test_isometry_iff_factor_one():
-    rng = random.Random(11)
-    s = SplitSpace.even(F3, 2)
-    refls = [reflection_matrix(s, v) for v in s.enumerate_vectors() if s.raw_q(v.raws)]
-    for _ in range(40):
-        m = rng.choice(refls) * rng.choice(refls) * GroupElement.scalar(F3, 4, rng.choice([1, 2]))
-        factor = similitude_factor(s, m)
-        assert (factor == F3.one) == is_isometry(s, m)
+    shear = GroupElement.of(F5, [[1, 1], [0, 1]])   # e2 -> e1 + e2
+    assert not is_isometry(even, shear)
 
 
 def _gram(space, m):
@@ -498,28 +451,19 @@ def _gram(space, m):
         [space.raw_b(cols[i], cols[j]) for i in range(d) for j in range(i + 1, d)]
 
 
-def _reference_verdicts(space, m, want):
-    """is_isometry and the similitude factor's rep (or None) with the
-    elimination first, from the Gram values of m and those of the identity
-    (want); SingularMatrix for both on a singular m."""
+def _reference_verdict(space, m, want):
+    """is_isometry with the elimination first, from the Gram values of m and
+    those of the identity (want); SingularMatrix on a singular m."""
     if not m.is_invertible:
-        return SingularMatrix, SingularMatrix
-    f, got = space.field, _gram(space, m)
-    factor = next((f.raw_div(g, w) for g, w in zip(got, want) if w), None)
-    if not factor or any(g != f.raw_mul(factor, w) for g, w in zip(got, want)):
-        factor = None
-    return got == want, factor
+        return SingularMatrix
+    return _gram(space, m) == want
 
 
-def _verdicts(space, m):
-    out = []
-    for check in (is_isometry, similitude_factor):
-        try:
-            verdict = check(space, m)
-        except SingularMatrix:
-            verdict = SingularMatrix
-        out.append(verdict.rep if isinstance(verdict, FieldElement) else verdict)
-    return tuple(out)
+def _verdict(space, m):
+    try:
+        return is_isometry(space, m)
+    except SingularMatrix:
+        return SingularMatrix
 
 
 def _all_matrices(f, d):
@@ -545,26 +489,21 @@ def _sampled_matrices(space, rng, count):
 
 
 def test_the_gram_pass_proves_invertibility():
-    """A matrix scaling q by a unit is invertible, so the elimination runs
-    only on a failing Gram check and every verdict and exception is kept:
-    every 4x4 matrix over F_2 on even(2), every 3x3 one on odd(F_2, 1),
-    where B has the radical e_3, and a sample over F_3."""
+    """An isometry is invertible, so the elimination runs only on a failing
+    Gram check and every verdict and exception is kept: every 4x4 matrix
+    over F_2 on even(2), and a sample over F_3."""
     pointed = SplitSpace.pointed_even(F3, 1)
     samples = [(SplitSpace.even(F2, 2), _all_matrices(F2, 4)),
-               (SplitSpace.odd(F2, 1), _all_matrices(F2, 3)),
                (pointed, _sampled_matrices(pointed, random.Random(21), 400))]
-    factors = set()
     for space, matrices in samples:
         identity, seen = _gram(space, GroupElement.identity(space.field, space.dim)), set()
         for m in matrices:
-            # the new verdicts first, so that they cannot read an elimination
+            # the new verdict first, so that it cannot read an elimination
             # the reference cached on m
-            got = _verdicts(space, m)
-            assert got == _reference_verdicts(space, m, identity)
-            seen.add(got[0])
-            factors.add(got[1])
+            got = _verdict(space, m)
+            assert got == _reference_verdict(space, m, identity)
+            seen.add(got)
         assert seen == {SingularMatrix, True, False}
-    assert factors == {SingularMatrix, None, 1, 2}
 
 
 # -- Dickson invariant ----------------------------------------------------------
@@ -579,8 +518,6 @@ def test_dickson_examples():
 
 
 def test_dickson_errors():
-    with pytest.raises(OddDimension):
-        dickson(SplitSpace.odd(F3, 1), GroupElement.identity(F3, 3))
     s = SplitSpace.even(F5, 1)
     with pytest.raises(NotAnIsometry):
         dickson(s, GroupElement.scalar(F5, 2, 2))
@@ -619,41 +556,3 @@ def test_dickson_matches_determinant_odd_characteristic():
         sign = F3.one if dickson(s, m) == 0 else F3.element(-1)
         assert m.det() == sign
 
-
-# -- stabilization embeddings ----------------------------------------------------
-
-def test_embed_odd_to_pointed():
-    v = Vector.of(Q, [2, 3, 7])
-    assert embed_odd_to_pointed(v) == Vector.of(Q, [2, 7, 3, 7])
-    odd_one = SplitSpace.odd(F3, 1).one_vector()
-    assert embed_odd_to_pointed(odd_one) == SplitSpace.pointed_even(F3, 1).one_vector()
-    w = embed_odd_to_pointed(Vector.of(F2, [1, 1, 0]))
-    assert w == Vector.of(F2, [1, 0, 1, 0])
-    assert SplitSpace.pointed_even(F2, 1).eval_q(w) == F2.one
-
-
-def test_embed_even_to_odd():
-    assert embed_even_to_odd(Vector.of(Q, [2, 3])) == Vector.of(Q, [2, 3, 0])
-    assert embed_even_to_odd(Vector.of(F3, [1, 1])) == Vector.of(F3, [1, 1, 0])
-    even_one = SplitSpace.even(F5, 2).one_vector()
-    assert embed_even_to_odd(even_one).to_strings() == ["0", "1", "0", "1", "0"]
-
-
-@pytest.mark.parametrize("f,n", [(F2, 1), (F3, 1), (F2, 2)])
-def test_embeddings_preserve_forms(f, n):
-    even = SplitSpace.even(f, n)
-    odd = SplitSpace.odd(f, n)
-    pointed = SplitSpace.pointed_even(f, n)
-    for v in even.enumerate_vectors():
-        u = embed_even_to_odd(v)
-        assert odd.eval_q(u) == even.eval_q(v)
-        assert pointed.eval_q(embed_odd_to_pointed(u)) == even.eval_q(v)
-    for v in odd.enumerate_vectors():
-        assert pointed.eval_q(embed_odd_to_pointed(v)) == odd.eval_q(v)
-
-
-def test_embed_dimension_errors():
-    with pytest.raises(DimensionMismatch):
-        embed_odd_to_pointed(Vector.of(F2, [1, 0]))
-    with pytest.raises(DimensionMismatch):
-        embed_even_to_odd(Vector.of(F2, [1, 0, 1]))

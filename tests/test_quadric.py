@@ -134,6 +134,16 @@ def test_enumerate_guard():
         _quadric_raws(space)
 
 
+def test_exceeds_is_the_power_comparison():
+    # exact for q >= 2, with no power computed once e reaches the guard's bits
+    from quadrics.guards import exceeds
+    for guard in (1, 10 ** 6, 10 ** 8, 10 ** 9, 2 ** 30):
+        for q in (2, 3, 4, 7, 1021):
+            for e in range(0, 40):
+                assert exceeds(q, e, guard) == (q ** e > guard), (q, e, guard)
+    assert exceeds(3, 10 ** 18, 10 ** 8)
+
+
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8),
                                  (1, 9), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
 def test_raw_enumeration_matches_points(n, q):

@@ -5,10 +5,7 @@ import time
 import pytest
 
 from quadrics.errors import (
-    InfiniteField,
     InvariantViolation,
-    IsotropicVector,
-    NonSquareNorm,
     NormMismatch,
     NotOnQuadric,
     SearchExhausted,
@@ -23,7 +20,6 @@ from quadrics.transport import (
     dickson_fixer,
     quadric_transport,
     reflection_transport,
-    similitude_transport,
     transport_all,
 )
 
@@ -61,7 +57,7 @@ def test_case2_transport_f2():
     assert s.raw_q(w.raws) and s.raw_b(x.raws, w.raws) and s.raw_b(y.raws, w.raws)
     # a hand-checked valid pair: w = (1,0,1,1), w' = x - r_w(y) = (0,1,1,1)
     by_hand = TransportCertificate(s, [s.vector([1, 0, 1, 1]), s.vector([0, 1, 1, 1])],
-                                   None, x, y, "case2")
+                                   x, y, "case2")
     assert by_hand.matrix.apply(x) == y
 
 
@@ -141,12 +137,10 @@ def test_rational_sweep_is_drawn_lazily():
 
 @pytest.mark.parametrize("space,x,y", [
     (SplitSpace.even(Q, 3), [0] * 6, [0] * 5 + [1]),
-    # B(e_7, .) = 2 e_7 = 0 in characteristic 2; q(e_7 - e_1 - e_4) = 1 - 1
-    (SplitSpace.odd(Field.extension(2, 3), 3), [0] * 6 + [1], [1, 0, 0, 1, 0, 0, 0]),
-], ids=["zero-over-Q", "odd-char-2"])
+], ids=["zero-over-Q"])
 def test_impossible_case2_search_is_refused_at_once(space, x, y):
-    # B(x, .) vanishes, so no auxiliary vector exists; sweeping all 11^6 or
-    # 8^7 candidates to learn that takes tens of seconds
+    # B(x, .) vanishes, so no auxiliary vector exists; sweeping all 11^6
+    # candidates to learn that takes tens of seconds
     start = time.perf_counter()
     with pytest.raises(SearchExhausted):
         reflection_transport(space, space.vector(x), space.vector(y))
@@ -271,13 +265,13 @@ def test_a_word_vector_of_norm_zero_fails_construction():
     s = SplitSpace.pointed_even(F3, 1)
     x = s.basis_vector(0)   # q(e_1) = 0
     with pytest.raises(InvariantViolation):
-        TransportCertificate(s, [x], None, x, x, "case1")
+        TransportCertificate(s, [x], x, x, "case1")
 
 
 @pytest.mark.parametrize("field", [Field.prime(5), Field.extension(2, 2), Q], ids=["5", "4", "Q"])
 def test_every_transport_and_the_similitude_orbit_use_the_one_rule(monkeypatch, field):
-    """reflection_transport, similitude_transport, quadric_transport and
-    verify_similitude_orbit each call transport._two_reflections, and the
+    """reflection_transport, quadric_transport and verify_similitude_orbit
+    each call transport._two_reflections, and the
     rule evaluates no q.  The q of each candidate it draws is the caller's,
     evaluated while the count is off."""
     import quadrics.action as action
@@ -322,9 +316,6 @@ def test_every_transport_and_the_similitude_orbit_use_the_one_rule(monkeypatch, 
             quadric_transport(c, c.space.vector(p)).path for p in ([0, 1, 0, 0], [1, 0, 0, 1])],
     }
     if field.is_finite:
-        norm_one = [v for v in s.enumerate_vectors() if s.raw_q(v.raws) == 1]
-        callers["similitude_transport"] = lambda: [
-            similitude_transport(s, v).path for v in norm_one[:20]]
         callers["verify_similitude_orbit"] = lambda: [verify_similitude_orbit(field, 1)["pass"]]
     for name, call in callers.items():
         before = calls[0]
@@ -332,99 +323,6 @@ def test_every_transport_and_the_similitude_orbit_use_the_one_rule(monkeypatch, 
         assert calls[0] > before, name
     assert q_inside[0] == 0
     assert {"case1", "case2"} <= set(paths)
-
-
-# -- similitude transport ------------------------------------------------------------
-
-def test_similitude_identity():
-    s = SplitSpace.pointed_even(F3, 1)
-    cert = similitude_transport(s, s.one_vector())
-    assert cert.path == "identity"
-
-
-def test_similitude_norm_one_vector():
-    s = SplitSpace.pointed_even(F3, 1)
-    v = s.vector([1, 0, 1, 0])
-    cert = similitude_transport(s, v)
-    assert cert.scalar == F3.one and len(cert.word) == 1
-    assert cert.matrix.apply(v) == s.one_vector()
-
-
-def test_similitude_nonsquare_norm_rejected():
-    s = SplitSpace.pointed_even(F3, 1)
-    with pytest.raises(NonSquareNorm):
-        similitude_transport(s, s.vector([1, 0, 2, 0]))    # q = 2, not a square mod 3
-
-
-def test_similitude_isotropic_rejected():
-    s = SplitSpace.pointed_even(F3, 1)
-    with pytest.raises(IsotropicVector):
-        similitude_transport(s, s.basis_vector(0))
-
-
-def test_similitude_rationals_rejected():
-    s = SplitSpace.pointed_even(Q, 1)
-    with pytest.raises(InfiniteField):
-        similitude_transport(s, s.vector([1, 0, 1, 0]))
-
-
-def test_similitude_transport_f2_matches_generated_orbit():
-    # over F_2 the certificate machinery reaches exactly the pair-generated
-    # orbit of 1: three of the six norm-1 vectors (the same reflection-orbit
-    # split behind the 18 exhausted pairs)
-    from quadrics.errors import SearchExhausted
-    s = SplitSpace.pointed_even(F2, 1)
-    reachable = set()
-    for v in s.enumerate_vectors():
-        if not s.raw_q(v.raws):
-            continue
-        try:
-            cert = similitude_transport(s, v)
-        except SearchExhausted:
-            continue
-        assert cert.matrix.apply(v) == s.one_vector()
-        reachable.add(v)
-    assert reachable == {s.vector([0, 1, 0, 1]), s.vector([1, 1, 1, 0]),
-                         s.vector([1, 0, 1, 1])}
-
-
-def test_similitude_covers_norm_one_f5():
-    f = Field.prime(5)
-    s = SplitSpace.pointed_even(f, 1)
-    hits = 0
-    for v in s.enumerate_vectors():
-        qv = s.raw_q(v.raws)
-        if not qv:
-            continue
-        inv_is_square = f.raw_sqrt(f.raw_inv(qv)) is not None
-        if inv_is_square:
-            cert = similitude_transport(s, v)
-            assert cert.matrix.apply(v) == s.one_vector()
-            hits += 1
-        else:
-            with pytest.raises(NonSquareNorm):
-                similitude_transport(s, v)
-    assert hits > 0
-
-
-@pytest.mark.parametrize("shape,field", [("pointed_even", Field.extension(2, 2)),
-                                         ("odd", Field.extension(3, 2))], ids=str)
-def test_similitude_scales_by_the_square_root_over_extensions(shape, field):
-    # the square root is a raw extension value, not an integer to reduce mod p
-    s = SplitSpace(field, shape, 1)
-    scalars = set()
-    for v in s.enumerate_vectors():
-        qv = s.raw_q(v.raws)
-        if not qv or field.raw_sqrt(field.raw_inv(qv)) is None or v == s.one_vector():
-            continue
-        try:
-            cert = similitude_transport(s, v)
-        except SearchExhausted:   # the reflection-orbit split of characteristic 2
-            continue
-        assert cert.scalar * cert.scalar * s.eval_q(v) == field.one
-        assert cert.matrix.apply(v) == s.one_vector()
-        scalars.add(cert.scalar)
-    assert any(c.rep >= field.p for c in scalars)
 
 
 # -- certificates -----------------------------------------------------------------
@@ -507,20 +405,20 @@ def test_certificates_are_built_without_matrix_products(monkeypatch):
         monkeypatch.setattr(field, "matmul",
                             lambda a, b, real=real: calls.append(1) or real(a, b))
     c = GroupContext(F3, 1)
-    certs = {cert.path: cert for cert in (quadric_transport(c, c.space.vector(p))
-                                          for p in ([0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 1]))}
+    certs = [quadric_transport(c, c.space.vector(p))
+             for p in ([0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 1])]
     assert calls == []
     s = SplitSpace.pointed_even(F4, 1)
+    one = s.one_vector()
     for v in s.enumerate_vectors():
-        try:
-            cert = similitude_transport(s, v)
-        except IsotropicVector:
-            continue
-        certs.setdefault(cert.path, cert)
-    assert sorted(certs) == ["case1", "case2", "identity", "scaled_case1",
-                             "scaled_case2", "scaled_identity"]
-    assert any(cert.scalar not in (None, F4.one) for cert in certs.values())
-    assert all(cert.verified for cert in certs.values())
+        if s.raw_q(v.raws) == 1:
+            try:
+                certs.append(reflection_transport(s, v, one))
+            except SearchExhausted:   # the reflection-orbit split of characteristic 2
+                pass
+    assert sorted({cert.path for cert in certs}) == ["case1", "case2", "identity"]
+    assert {cert.space.field for cert in certs if cert.path == "case2"} == {F3, F4}
+    assert all(cert.verified for cert in certs)
     assert calls == []
 
 
@@ -534,58 +432,42 @@ def test_each_transport_builds_one_certificate(monkeypatch):
 
     monkeypatch.setattr(TransportCertificate, "__init__", counted)
     s3 = SplitSpace.pointed_even(F3, 1)
-    s5 = SplitSpace.pointed_even(Field.prime(5), 1)
     c = GroupContext(F3, 1)
     calls = [lambda: reflection_transport(s3, s3.vector([1, 0, 1, 0]), s3.one_vector()),
              lambda: reflection_transport(s3, s3.basis_vector(0), s3.basis_vector(1))]
     calls += [lambda p=p: quadric_transport(c, c.space.vector(p))
               for p in ([0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 1])]
-    calls += [lambda v=v: similitude_transport(s5, s5.vector(v))
-              for v in ([1, 0, 4, 1], [0, 3, 0, 3], [0, 1, 0, 1], [0, 1, 0, 4])]
     for call in calls:
         before = len(built)
         cert = call()
         assert built[before:] == [cert.path]
-    assert built == ["case1", "case2", "identity", "case1", "case2",
-                     "scaled_case2", "scaled_identity", "identity", "scaled_case1"]
+    assert built == ["case1", "case2", "identity", "case1", "case2"]
 
 
 # -- golden words -------------------------------------------------------------------
 
-def _outcome(call, *args):
-    """[path, scalar, word] of a transport call as strings, or the class name
-    of its refusal."""
+def _outcome(s, x, y):
+    """[path, scalar, word] of reflection_transport as its record prints
+    them, or the class name of its refusal."""
     try:
-        cert = call(*args)
-    except (SearchExhausted, NonSquareNorm, IsotropicVector) as exc:
+        record = reflection_transport(s, x, y).to_dict()
+    except SearchExhausted as exc:
         return type(exc).__name__
-    return [cert.path, None if cert.scalar is None else str(cert.scalar),
-            [v.to_strings() for v in cert.word]]
-
-
-def _reflection_words(s):
-    vectors = list(s.enumerate_vectors())
-    return [[x.to_strings(), y.to_strings(), _outcome(reflection_transport, s, x, y)]
-            for x in vectors for y in vectors if s.raw_q(x.raws) == s.raw_q(y.raws)]
-
-
-def _similitude_words(s):
-    return [[v.to_strings(), _outcome(similitude_transport, s, v)]
-            for v in s.enumerate_vectors()]
+    return [record["path"], record["scalar"], record["word"]]
 
 
 WORDS_SHA256 = {
     ("reflection", "pointed_even", "3"): "e700026205a8a580fda0857ecd837ef4267e58b4e0f5a2e7fa1c56a24e53ebae",
-    ("reflection", "odd", "2"): "9a8f94f4efd376abb72ee700a2ff3a8c592ddd8b63f435e95146e50ddf386b1d",
-    ("similitude", "pointed_even", "5"): "5d189b93cee3f1e56946c50d39fe1ab3a57e95951054938b74e819cc52e61dca",
-    ("similitude", "pointed_even", "2^2"): "2a115d4a422b25105346d6604c6627e01a9ca8d2974249a4ad234976e19ac308",
 }
 
 
 @pytest.mark.parametrize("kind,shape,spec", sorted(WORDS_SHA256))
 def test_transport_words_golden_digest(kind, shape, spec):
-    # every word, path and refusal of the general transports, pinned byte for byte
+    # every word, path and refusal of reflection_transport between vectors of
+    # equal norm, pinned byte for byte
     s = SplitSpace(Field.parse(spec), shape, 1)
-    records = (_reflection_words if kind == "reflection" else _similitude_words)(s)
+    vectors = list(s.enumerate_vectors())
+    records = [[x.to_strings(), y.to_strings(), _outcome(s, x, y)]
+               for x in vectors for y in vectors if s.raw_q(x.raws) == s.raw_q(y.raws)]
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == WORDS_SHA256[(kind, shape, spec)]
