@@ -32,7 +32,9 @@ u = reflection_matrix(S, S.vector([1, 0, 1, 0]))
 print("\nD(r_v) =", dickson(S, r), "  D(r_v r_u) =", dickson(S, r * u))
 
 # In characteristic 2 the determinant is blind (always 1), but the Dickson
-# invariant, computed as rank(m - 1) mod 2, still detects reflections.
+# invariant still detects reflections: it is the rank mod 2 of the block of
+# m taking the Lagrangian L = <e_1, e_2> to its partner <e_3, e_4>: mL meets
+# L in dimension 2 - rank, and its parity says whether m keeps L's family.
 S2 = SplitSpace.pointed_even(F2, 1)
 r2 = reflection_matrix(S2, S2.vector([1, 0, 1, 0]))
 print("\nover F_2:  det(r) =", r2.det(), " but D(r) =", dickson(S2, r2))

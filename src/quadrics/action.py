@@ -74,6 +74,7 @@ class GroupContext:
         self.one = self.space.one_vector()
         self.x0 = self.space.basis_vector(self.dim - 1)
         self.even_slots = tuple(range(n)) + tuple(range(n + 1, 2 * n + 1))
+        self.fixed_letters = {}   # transport's (u*, 1) and (a, -1), built on first use
 
     def extend_even(self, m):
         """Extend an even-space matrix by the identity on e_{n+1}, e_{2n+2}."""

@@ -135,10 +135,9 @@ def _cmd_transport(args):
         failed = record["verified"] != record["total"]
         record["pass"] = not failed
         return record, failed
-    coords = [field.parse_element(s) for s in args.point.split(",")]
-    if len(coords) != 2 * n + 2:
-        raise DimensionMismatch(f"space dim {2 * n + 2}, vector length {len(coords)}")
-    target = Vector(field, (c.rep for c in coords))
+    target = Vector(field, map(field.raw_parse, args.point.split(",")))
+    if len(target) != 2 * n + 2:
+        raise DimensionMismatch(f"space dim {2 * n + 2}, vector length {len(target)}")
     return quadric_transport(_context(field, n), target).to_dict(), False
 
 

@@ -131,7 +131,7 @@ class Field:
         "kind", "p", "k", "q", "modulus", "key",
         "_add", "_mul", "_inv", "_neg", "_sqrt", "_hash",
         "raw_add", "raw_sub", "raw_neg", "raw_mul", "raw_inv", "raw_lincomb",
-        "raw_str", "matmul", "matvec", "_matmuls", "_matvecs",
+        "raw_str", "raw_parse", "matmul", "matvec", "_matmuls", "_matvecs",
     )
 
     def __init__(self, kind, p=0, k=1):
@@ -264,10 +264,11 @@ class Field:
         is the tuple a x + b y of two vectors.  raw_str is str of an
         element: the residue or the fraction, and in an extension the sum
         c_0+c_1*g+c_2*g^2+... of every coefficient, rendered once per
-        element and kept.  matmul takes two row tuples and matvec a row
-        tuple and a vector; each passes the rows to the straight-line
-        kernel for their dimension d = len(a), which is generated and
-        compiled on the first call for that d and kept per field."""
+        element and kept, and raw_parse its inverse.  matmul takes two row
+        tuples and matvec a row tuple and a vector; each passes the rows to
+        the straight-line kernel for their dimension d = len(a), which is
+        generated and compiled on the first call for that d and kept per
+        field."""
         if self.kind == "extension":
             add_t, mul_t, neg_t, inv_t = self._add, self._mul, self._neg, self._inv
 
@@ -287,6 +288,7 @@ class Field:
             self.raw_neg = neg_t.__getitem__
             self.raw_mul = lambda a, b: mul_t[a][b]
             inv = inv_t.__getitem__
+            raw_parse = self._parse_extension
         elif self.kind == "prime":
             p = self.p
 
@@ -299,6 +301,7 @@ class Field:
             self.raw_mul = lambda a, b: a * b % p
             inv = lambda a: pow(a, -1, p)
             raw_str = str
+            read = lambda text: int(text) % p
         else:
             def lincomb(a, x, b, y):
                 if a == 1:   # skips a Fraction product per coordinate
@@ -308,6 +311,15 @@ class Field:
             self.raw_add, self.raw_sub, self.raw_neg, self.raw_mul = add, sub, neg, mul
             inv = partial(Fraction, 1)   # 1 / a would be a float for an int a
             raw_str = str
+            read = Fraction
+
+        if self.kind != "extension":
+            def raw_parse(text):
+                try:
+                    return read(text.strip())
+                except (ValueError, ZeroDivisionError):
+                    raise InvalidElement(f"cannot read {text.strip()!r} as an element "
+                                         f"of field {self}") from None
 
         def raw_inv(a):
             if not a:
@@ -315,6 +327,7 @@ class Field:
             return inv(a)
 
         self.raw_inv, self.raw_lincomb, self.raw_str = raw_inv, lincomb, raw_str
+        self.raw_parse = raw_parse
         matmuls = self._matmuls = _ByDimension(self._matmul_kernel)
         matvecs = self._matvecs = _ByDimension(self._matvec_kernel)
         self.matmul = lambda a, b: matmuls[len(a)](*a, *b)
@@ -435,22 +448,20 @@ class Field:
         return [FieldElement(self, r) for r in range(self.q)]
 
     def parse_element(self, text):
-        """Inverse of str(element).  An extension element is read as a sum of
-        terms c, g, g^k, c*g and c*g^k, each optionally signed and taken in
-        the field, so a power of g may exceed the degree."""
+        """Inverse of str(element), read by raw_parse."""
+        return FieldElement(self, self.raw_parse(text))
+
+    def _parse_extension(self, text):
+        """raw_parse of an extension: a sum of terms c, g, g^k, c*g and c*g^k,
+        each optionally signed and taken in the field, so a power of g may
+        exceed the degree."""
         text = text.strip()
-        if self.kind != "extension":
-            try:
-                return self.element(Fraction(text) if self.kind == "rational" else int(text))
-            except (ValueError, ZeroDivisionError):
-                raise InvalidElement(
-                    f"cannot read {text!r} as an element of field {self}") from None
         signed = re.split(r"([+-])", text)
         if signed[0].strip() or len(signed) == 1:
             signed.insert(0, "+")
         else:
             del signed[0]   # a leading sign
-        value = self.zero
+        value = 0
         for sign, term in zip(signed[::2], signed[1::2]):
             match = _TERM.fullmatch(term.strip())
             if match is None:
@@ -458,10 +469,10 @@ class Field:
                     f"cannot read {term.strip()!r} in {text!r} as an element of field {self}")
             coeff, power, const = match.groups()
             if const is not None:
-                x = self.element(int(const))
+                x = int(const) % self.p
             else:
-                x = self.generator ** int(power or 1) * int(coeff or 1)
-            value = value - x if sign == "-" else value + x
+                x = self.raw_mul((self.generator ** int(power or 1)).rep, int(coeff or 1) % self.p)
+            value = self.raw_sub(value, x) if sign == "-" else self.raw_add(value, x)
         return value
 
     # -- protocol ----------------------------------------------------------

@@ -19,7 +19,8 @@ one reflection at a time.
 A matrix m is tested against q through its Gram data: q of each column and B
 of each pair of columns, against the same values on the basis, read from
 _gram_pairs by is_isometry; a matrix that passes is invertible, so only a
-failing one is eliminated.
+failing one is eliminated.  The Dickson invariant of an isometry is read
+from its h x h Lagrangian block, h = dim/2, in every characteristic (dickson).
 """
 
 from functools import cache
@@ -76,14 +77,6 @@ class Vector:
     def __neg__(self):
         neg = self.field.raw_neg
         return Vector(self.field, (neg(a) for a in self.raws))
-
-    def scale(self, c):
-        c = self.field.element(c).rep
-        mul = self.field.raw_mul
-        return Vector(self.field, (mul(c, a) for a in self.raws))
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     def _check(self, other):
         if not isinstance(other, Vector):
@@ -168,17 +161,12 @@ class SplitSpace:
 
     def basis_vector(self, i):
         """e_{i+1} in 0-based indexing."""
-        vals = [0] * self.dim
-        vals[i] = 1
-        return Vector.of(self.field, vals)
+        return Vector.of(self.field, [int(j == i) for j in range(self.dim)])
 
     def one_vector(self):
         """The distinguished vector with q = 1: e_i + e_j for the last
         hyperbolic pair (i, j)."""
-        vals = [0] * self.dim
-        for i in self.pairs[-1]:
-            vals[i] = 1
-        return Vector.of(self.field, vals)
+        return Vector.of(self.field, [int(j in self.pairs[-1]) for j in range(self.dim)])
 
     def structured_vectors(self):
         """e_i +/- e_j for each hyperbolic pair (i, j), without repeats; each
@@ -292,11 +280,6 @@ class GroupElement:
         return cls(field, [[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 
     @classmethod
-    def scalar(cls, field, dim, c):
-        c = field.element(c).rep
-        return cls(field, [[c if i == j else 0 for j in range(dim)] for i in range(dim)])
-
-    @classmethod
     def from_columns(cls, field, cols):
         return cls(field, zip(*[c.raws if isinstance(c, Vector) else c for c in cols]))
 
@@ -306,9 +289,6 @@ class GroupElement:
 
     def column(self, j):
         return Vector(self.field, (r[j] for r in self.rows))
-
-    def entries(self):
-        return [[FieldElement(self.field, x) for x in row] for row in self.rows]
 
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
@@ -422,7 +402,11 @@ def raw_word(space, letters, w):
 def word_matrix(space, word):
     """The matrix of r_{v_1} ... r_{v_m}: column j is the word applied, right
     to left, to e_{j+1}."""
-    letters = [_reflector(space, v) for v in word]
+    return _letters_matrix(space, [_reflector(space, v) for v in word])
+
+
+def _letters_matrix(space, letters):
+    """word_matrix for raw letters [(v_1, 1/q(v_1)), ...]; nothing is checked."""
     d = space.dim
     cols = [raw_word(space, letters, (0,) * j + (1,) + (0,) * (d - 1 - j)) for j in range(d)]
     return GroupElement.from_columns(space.field, cols)
@@ -475,9 +459,12 @@ def is_isometry(space, m):
 
 
 def dickson(space, m):
-    """Dickson invariant in {0, 1} of an isometry of an even-dimensional
-    split space: rank(m - 1) mod 2 in characteristic 2, else 0 iff det = 1."""
-    _check_matrix(space, m)
+    """Dickson invariant in {0, 1} of an isometry, in every characteristic:
+    rank C mod 2 for the block C of m = [[A, B], [C, D]] taking L =
+    <e_1..e_h> to its partner <e_{h+1}..e_{2h}>, h = dim/2.  Proof: mL meets
+    L in m(ker C), of dimension h - rank C, and m keeps the family of the
+    maximal isotropic subspace L iff that dimension is congruent to h mod 2.
+    A singular m raises SingularMatrix, another non-isometry NotAnIsometry."""
     if not is_isometry(space, m):
         raise NotAnIsometry("Dickson invariant of a non-isometry")
     return _dickson(space, m)
@@ -486,12 +473,8 @@ def dickson(space, m):
 def _dickson(space, m):
     """dickson() for a matrix the caller has just shown to be an isometry of
     this space."""
-    f = space.field
-    if f.characteristic == 2:
-        shifted = GroupElement(f, [row[:i] + (f.raw_sub(row[i], 1),) + row[i + 1:]
-                                   for i, row in enumerate(m.rows)])
-        return shifted.rank() % 2
-    return 0 if m.det().rep == f.one.rep else 1
+    h = space.dim // 2
+    return GroupElement(space.field, [row[:h] for row in m.rows[h:]]).rank() % 2
 
 
 def _check_shape(space, m):

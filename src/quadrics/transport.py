@@ -16,11 +16,11 @@ element fixes 1, and there is no search: the rule moves the point p to
 x_0 with the one auxiliary a = e_{n+1} - e_{2n+2}, which serves in case 2
 (p_{n+1} = 0) over every field, and the reversed word moves x_0 to p.  A
 case-1 word is followed by r_{u*}, u* = e_1 + e_{n+2} (which fixes both 1
-and x_0), to land in the Dickson-0 model.
-Each certificate costs O(d^3).  TransportCertificate.verify is its one check:
-construction runs it, and so can any later caller.  It evaluates q on each
-letter, makes one Gram pass for is_isometry and computes the Dickson
-invariant from the matrix.
+and x_0), to land in the Dickson-0 model; both letters are built once per
+GroupContext.  A certificate's matrix is built from the rule's raw letters.
+TransportCertificate.verify is its one check, run at construction: q once
+per letter, one Gram pass and the Dickson invariant from the matrix's h x h
+Lagrangian block (quadform.dickson).
 """
 
 from itertools import product
@@ -32,7 +32,7 @@ from .errors import (
     NotOnQuadric,
     SearchExhausted,
 )
-from .quadform import Vector, _dickson, is_isometry, word_matrix
+from .quadform import Vector, _dickson, _letters_matrix, is_isometry, word_matrix
 from .quadric import AmbientQuadricPoint, enumerate_quadric, is_on_quadric
 
 DEFAULT_HEIGHT = 5
@@ -46,20 +46,25 @@ class TransportCertificate:
     `verify()` is the one check: the call made at construction records the
     Dickson invariant it computes and sets `verified`; each later call
     recomputes everything from the matrix.  A word vector with q = 0 fails
-    it, so construction raises InvariantViolation for it too.
+    it, so construction raises InvariantViolation for it too.  Given as the
+    rule's raw letters (v, 1/q(v)), the word's matrix needs no q.
     """
 
     __slots__ = ("space", "word", "source", "target", "matrix", "dickson", "path",
                  "verified")
 
     def __init__(self, space, word, source, target, path):
+        letters = None
+        if word and not isinstance(word[0], Vector):   # the rule's raw letters
+            letters, word = word, [Vector(space.field, v) for v, _ in word]
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "word", tuple(word))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "path", path)
         try:
-            matrix = word_matrix(space, self.word)
+            matrix = (word_matrix(space, self.word) if letters is None
+                      else _letters_matrix(space, letters))
         except NonUnitNorm:
             matrix = None   # verify() stops at the letter with q = 0
         object.__setattr__(self, "matrix", matrix)
@@ -160,28 +165,28 @@ def reflection_transport(space, x, y):
     raw_q, inv = space.raw_q, space.field.raw_inv
     auxiliaries = ((v.raws, inv(qv)) for v in _candidates(space) if (qv := raw_q(v.raws)))
     letters, path = _two_reflections(space, x.raws, y.raws, qx, auxiliaries)
-    word = [Vector(space.field, v) for v, _ in letters]
-    return TransportCertificate(space, word, x, y, path)
+    return TransportCertificate(space, letters, x, y, path)
 
 
 def dickson_fixer(ctx):
     """u* = e_1 + e_{n+2} for a GroupContext or its pointed even space:
     q(u*) = 1, t(u*) = 0, B(u*, x_0) = 0, so r_{u*} fixes both 1 and x_0
     and flips the Dickson invariant."""
-    vals = [0] * ctx.dim
-    vals[0] = 1
-    vals[ctx.n + 1] = 1
-    return Vector.of(ctx.field, vals)
+    return Vector.of(ctx.field, [int(i in (0, ctx.n + 1)) for i in range(ctx.dim)])
 
 
 def case2_vector(ctx):
     """a = e_{n+1} - e_{2n+2}: q(a) = -1, t(a) = 0, B(x_0, a) = 1, and
     B(w, a) = w_{2n+2} - w_{n+1} = 1 at every quadric point w with
     w_{n+1} = 0, which are exactly the points of case 2."""
-    vals = [0] * ctx.dim
-    vals[ctx.n] = 1
-    vals[-1] = -1
-    return Vector.of(ctx.field, vals)
+    return Vector.of(ctx.field, [0] * ctx.n + [1] + [0] * ctx.n + [-1])
+
+
+def _fixed_letter(ctx, build, inv_q):
+    """The raw letter (build(ctx), inv_q), built once per context."""
+    if build not in ctx.fixed_letters:
+        ctx.fixed_letters[build] = build(ctx).raws, ctx.field.element(inv_q).rep
+    return ctx.fixed_letters[build]
 
 
 def quadric_transport(ctx, point):
@@ -197,20 +202,20 @@ def quadric_transport(ctx, point):
         target = point
         if not is_on_quadric(space, target):
             raise NotOnQuadric(f"{target!r} is not on the quadric")
-    # q(target) = q(x_0) = 0 needs no evaluation; the one letter (a, 1/q(a))
-    # = (a, -1) is built only when case 2 draws it
-    auxiliaries = ((a.raws, space.field.element(-1).rep) for a in map(case2_vector, [ctx]))
+    # q(target) = q(x_0) = 0 needs no evaluation; the one auxiliary letter
+    # (a, 1/q(a)) = (a, -1) is drawn only in case 2
+    auxiliaries = (_fixed_letter(ctx, case2_vector, -1) for _ in range(1))
     try:
         letters, path = _two_reflections(space, target.raws, ctx.x0.raws, 0, auxiliaries)
     except SearchExhausted:
         raise InvariantViolation("case-2 vector a violated its guarantees") from None
-    word = [Vector(space.field, v) for v, _ in reversed(letters)]
+    letters = letters[::-1]
     if path == "case1":
         # r_diff moves x_0 to the target but has Dickson 1; compose with r_{u*}
-        word.append(dickson_fixer(ctx))
-    if any(space.raw_trace(v.raws) for v in word):
+        letters.append(_fixed_letter(ctx, dickson_fixer, 1))
+    if any(space.raw_trace(v) for v, _ in letters):
         raise InvariantViolation("quadric transport word left the trace-0 subspace")
-    return TransportCertificate(space, word, ctx.x0, target, path)
+    return TransportCertificate(space, letters, ctx.x0, target, path)
 
 
 def transport_all(ctx, force=False):

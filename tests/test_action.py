@@ -47,6 +47,11 @@ F5 = Field.prime(5)
 F7 = Field.prime(7)
 
 
+def scalar_matrix(field, dim, c):
+    """c times the identity: an isometry only when c^2 = 1."""
+    return GroupElement.of(field, [[c if i == j else 0 for j in range(dim)] for i in range(dim)])
+
+
 def ctx2():
     return GroupContext(F2, 1)
 
@@ -91,7 +96,7 @@ def test_in_o_odd():
     assert in_o_odd(c, GroupElement.identity(F3, 4))
     r = reflection_matrix(c.space, c.space.vector([0, 1, 0, 2]))   # t = 0, q = 2
     assert in_o_odd(c, r)
-    assert not in_o_odd(c, GroupElement.scalar(F3, 4, 2))
+    assert not in_o_odd(c, scalar_matrix(F3, 4, 2))
 
 
 def test_in_so_odd():

@@ -14,7 +14,7 @@ from quadrics.errors import (
     WrongShape,
 )
 from quadrics import fields
-from quadrics.action import GroupContext
+from quadrics.action import GroupContext, enumerate_isometries
 from quadrics.cli import main
 from quadrics.fields import Field, FieldElement
 from quadrics.quadform import (
@@ -35,6 +35,11 @@ F3 = Field.prime(3)
 F4 = Field.extension(2, 2)
 F5 = Field.prime(5)
 F9 = Field.extension(3, 2)
+
+
+def scalar_matrix(field, dim, c):
+    """c times the identity: an isometry only when c^2 = 1."""
+    return GroupElement.of(field, [[c if i == j else 0 for j in range(dim)] for i in range(dim)])
 Q = Field.rationals()
 
 
@@ -439,7 +444,7 @@ def test_is_isometry():
     assert is_isometry(s, GroupElement.identity(F5, 4))
     assert is_isometry(s, reflection_matrix(s, s.one_vector()))
     even = SplitSpace.even(F5, 1)
-    assert not is_isometry(even, GroupElement.scalar(F5, 2, 2))
+    assert not is_isometry(even, scalar_matrix(F5, 2, 2))
     shear = GroupElement.of(F5, [[1, 1], [0, 1]])   # e2 -> e1 + e2
     assert not is_isometry(even, shear)
 
@@ -520,7 +525,15 @@ def test_dickson_examples():
 def test_dickson_errors():
     s = SplitSpace.even(F5, 1)
     with pytest.raises(NotAnIsometry):
-        dickson(s, GroupElement.scalar(F5, 2, 2))
+        dickson(s, scalar_matrix(F5, 2, 2))
+
+
+def test_dickson_rejects_a_singular_matrix():
+    # the Gram pass fails on a singular matrix, and is_isometry then raises
+    s = SplitSpace.even(F3, 2)
+    m = GroupElement.of(F3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]])
+    with pytest.raises(SingularMatrix):
+        dickson(s, m)
 
 
 def test_dickson_does_not_trust_the_matrix_cache():
@@ -555,4 +568,64 @@ def test_dickson_matches_determinant_odd_characteristic():
         m = rng.choice(refls) * rng.choice(refls) * rng.choice(refls)
         sign = F3.one if dickson(s, m) == 0 else F3.element(-1)
         assert m.det() == sign
+
+
+def _rank_and_det(f, rows):
+    """Rank and determinant of a square matrix of raws, by elimination."""
+    rows, rank, det = [list(r) for r in rows], 0, 1
+    for col in range(len(rows)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = f.raw_neg(det)
+        lead = rows[rank]
+        det = f.raw_mul(det, lead[col])
+        for r in range(rank + 1, len(rows)):
+            c = f.raw_mul(rows[r][col], f.raw_inv(lead[col]))
+            rows[r] = [f.raw_sub(x, f.raw_mul(c, y)) for x, y in zip(rows[r], lead)]
+        rank += 1
+    return rank, det
+
+
+def _dickson_by_definition(space, m):
+    """rank(m - 1) mod 2 in characteristic 2; else 0 iff det(m) = 1."""
+    f = space.field
+    if f.characteristic == 2:
+        shifted = [[f.raw_sub(x, int(i == j)) for j, x in enumerate(row)]
+                   for i, row in enumerate(m.rows)]
+        return _rank_and_det(f, shifted)[0] % 2
+    return 0 if _rank_and_det(f, m.rows)[1] == f.one.rep else 1
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4], ids=str)
+def test_dickson_matches_its_definitions_on_whole_groups(f):
+    # even(2) and pointed_even(1) carry the same form x_1 x_3 + x_2 x_4, so
+    # one column search lists both groups
+    spaces = [SplitSpace.even(f, 2), SplitSpace.pointed_even(f, 1)]
+    assert spaces[0].pairs == spaces[1].pairs
+    group = enumerate_isometries(spaces[0], force=True)
+    assert len(group) == {2: 72, 3: 1152, 4: 7200}[f.q]
+    expected = [_dickson_by_definition(spaces[0], m) for m in group]
+    assert expected.count(0) == len(group) // 2
+    for s in spaces:
+        assert [dickson(s, m) for m in group] == expected
+
+
+@pytest.mark.parametrize("f", [F5, Field.rationals()], ids=str)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("n", [1, 2, 3], ids=str)
+def test_dickson_matches_its_definitions_on_seeded_words(f, shape, n):
+    s = SplitSpace(f, shape, n)
+    rng = random.Random(31)
+    for _ in range(25):
+        word, length = [], rng.randrange(1, 5)
+        while len(word) < length:
+            v = s.vector([rng.randrange(-3, 4) for _ in range(s.dim)])
+            if s.raw_q(v.raws):
+                word.append(v)
+        m = word_matrix(s, word)
+        assert dickson(s, m) == _dickson_by_definition(s, m) == len(word) % 2
 

@@ -235,6 +235,7 @@ def test_transport_words_are_trace_zero_and_fix_one():
 
 
 def test_case2_vector_is_built_only_for_case2(monkeypatch):
+    # and at most once per context: a second case-2 point reuses the letter
     import quadrics.transport as transport
     built = []
     monkeypatch.setattr(transport, "case2_vector",
@@ -243,6 +244,10 @@ def test_case2_vector_is_built_only_for_case2(monkeypatch):
     paths = [quadric_transport(c, c.space.vector(p)).path
              for p in ([0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 1])]
     assert paths == ["identity", "case1", "case2"] and built == [1]
+    assert quadric_transport(c, c.space.vector([2, 0, 0, 1])).path == "case2"
+    assert built == [1]
+    quadric_transport(GroupContext(F3, 1), c.space.vector([1, 0, 0, 1]))
+    assert built == [1, 1]
 
 
 def test_a_without_its_guarantees_is_an_invariant_violation(monkeypatch):
@@ -254,9 +259,14 @@ def test_a_without_its_guarantees_is_an_invariant_violation(monkeypatch):
                   if s.raw_trace(v.raws) and s.raw_q(v.raws)
                   and s.raw_b(c.x0.raws, v.raws) and s.raw_b(target.raws, v.raws))
     for bad in (s.zero_vector(), traced):
-        monkeypatch.setattr(transport, "case2_vector", lambda ctx, bad=bad: bad)
+        # a context keeps the letter it first built, so each bad vector
+        # reaches the rule through a fresh one
+        reached = []
+        monkeypatch.setattr(transport, "case2_vector",
+                            lambda ctx, bad=bad: reached.append(bad) or bad)
         with pytest.raises(InvariantViolation):
-            quadric_transport(c, target)
+            quadric_transport(GroupContext(F3, 1), target)
+        assert reached == [bad]
 
 
 def test_a_word_vector_of_norm_zero_fails_construction():
@@ -363,8 +373,9 @@ def test_reverify_recomputes_the_dickson_invariant(field):
                                         ([1, 0, 0, 1], "case2")])
 def test_construction_runs_one_gram_pass_and_one_dickson(monkeypatch, point, path):
     """Construction also evaluates q once on the point (is_on_quadric),
-    twice per letter (the reflector and verify) and once per column in the
-    Gram pass: q(point) = q(x_0) = 0 is not evaluated again for the rule."""
+    once per letter (verify; the matrix is built from the rule's letters)
+    and once per column in the Gram pass: q(point) = q(x_0) = 0 is not
+    evaluated again for the rule."""
     import quadrics.quadform as quadform
     import quadrics.transport as transport
     calls = {"gram": 0, "dickson": 0}
@@ -390,10 +401,10 @@ def test_construction_runs_one_gram_pass_and_one_dickson(monkeypatch, point, pat
     cert = quadric_transport(c, target)
     assert cert.path == path
     assert calls == {"gram": 1, "dickson": 1}
-    assert q_calls == [1 + 2 * len(cert.word) + c.dim]
+    assert q_calls == [1 + len(cert.word) + c.dim]
     assert cert.verify()
     assert calls == {"gram": 2, "dickson": 2}
-    assert q_calls == [1 + 3 * len(cert.word) + 2 * c.dim]
+    assert q_calls == [1 + 2 * len(cert.word) + 2 * c.dim]
 
 
 def test_certificates_are_built_without_matrix_products(monkeypatch):
