@@ -2,12 +2,18 @@
 certificates, emitted as JSON (or as csv/table projections of the same
 record).  Exit status: 0 all checks pass, 1 a verification failed, 2 usage
 or configuration error.
+
+A command line is parsed in one argparse pass: when the first argument names
+a command, that command's parser reads the rest, with the messages and exit
+codes of ArgumentParser.parse_args.  The JSON report is the text of
+json.dumps(record, indent=2), written by _to_json with the C string encoder.
 """
 
 import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .action import GroupContext, verify_homogeneous, verify_similitude_orbit
 from .errors import DimensionMismatch, NotOnQuadric, QuadricsError, TooLarge
@@ -19,7 +25,7 @@ from .quadform import Vector
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if args.n < 0:
             raise ValueError("--n must be nonnegative")
@@ -36,10 +42,26 @@ def main(argv=None):
     return 1 if failed else 0
 
 
+def _parse(argv):
+    """_parser().parse_args(argv), with the top-level pass skipped when argv[0]
+    names a command: that pass only picks the command's parser and hands it
+    the rest.  Any other argv (none, -h, an unknown command) goes to the top
+    parser, and arguments the command leaves are reported by it."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 @functools.cache
 def _parser():
     """The argument parser, built on the first main() call and then reused:
-    parsing leaves it unchanged."""
+    parsing leaves it unchanged.  Its commands' parsers are kept by name in
+    its `commands`."""
     parser = argparse.ArgumentParser(
         prog="quadrics",
         description="Split quadric point counts, group actions, and reflection transport.",
@@ -68,6 +90,7 @@ def _parser():
     target = p_tr.add_mutually_exclusive_group(required=True)
     target.add_argument("--point", help="comma-separated target coordinates")
     target.add_argument("--all", action="store_true", help="transport every point")
+    parser.commands = sub.choices
     return parser
 
 
@@ -156,10 +179,44 @@ def _flatten(record, prefix=""):
     return rows
 
 
+def _to_json(value, indent="\n"):
+    """json.dumps(value, indent=2) of a report value whose lines start with
+    indent, from the C string encoder: reports hold only str-keyed dicts,
+    lists, str, int, bool and None, and anything else raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {_to_json(item, inner)}")
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [encode_basestring_ascii(item) if type(item) is str else _to_json(item, inner)
+                 for item in value]   # a string inline: most items are coordinates
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a report cannot hold {type(value).__name__}")
+
+
 def _emit(record, args):
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        text = json.dumps(record, indent=2)
+        text = _to_json(record)
     elif fmt == "csv":
         lines = ["key,value"]
         lines += [f"{k},{v}" for k, v in _flatten(record)]

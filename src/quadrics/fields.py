@@ -7,10 +7,10 @@ cheap to compare; rationals are carried as Fraction.  All representations
 are canonical, so equality is representation equality.  Each Field binds the
 raw operations, the linear-combination kernel and the string formatter on
 these representations for its kind when it is built.  It compiles a form
-kernel for an index-pair tuple on request, and a matmul or matvec kernel on
-the first product of each dimension; every generated kernel is one
-straight-line expression whose arithmetic comes from Field._term_sum.  Other
-modules compute and print only through them.
+or Gram kernel for an index-pair tuple on request, and a matmul or matvec
+kernel on the first product of each dimension; every generated kernel is
+one straight-line expression whose arithmetic comes from Field._term_sum.
+Other modules compute and print only through them.
 """
 
 import re
@@ -45,7 +45,7 @@ MODULI = {
 }
 
 # One term of an extension element: c*g^k, c*g, g^k, g, or an integer c.
-_TERM = re.compile(r"(?:(\d+)\*)?g(?:\^(\d+))?|(\d+)")
+_TERM = re.compile(r"(?:(\d+)\*)?g(?:\^(\d+))?|(\d+)", re.ASCII)
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -189,6 +189,8 @@ class Field:
         if spec in ("Q", "QQ", "rational", "rationals"):
             return cls.rationals()
         try:
+            if not spec.isascii() or "_" in spec:   # int() reads 3_1 and Unicode digits
+                raise ValueError
             numbers = [int(part) for part in spec.split("^", 1)]
         except ValueError:
             raise InvalidPrimePower(
@@ -315,10 +317,13 @@ class Field:
 
         if self.kind != "extension":
             def raw_parse(text):
+                text = text.strip()
                 try:
-                    return read(text.strip())
+                    if not text.isascii() or "_" in text:   # as in Field.parse
+                        raise ValueError
+                    return read(text)
                 except (ValueError, ZeroDivisionError):
-                    raise InvalidElement(f"cannot read {text.strip()!r} as an element "
+                    raise InvalidElement(f"cannot read {text!r} as an element "
                                          f"of field {self}") from None
 
         def raw_inv(a):
@@ -361,6 +366,18 @@ class Field:
         nothing is compiled until a kernel is asked for."""
         body = self._term_sum([(f"u[{i}]", f"w[{j}]") for i, j in pairs])
         return self._kernel(f"lambda u, w: {body}")
+
+    def gram(self, pairs, d):
+        """f(c0, .., c{d-1}) = (q(c0), .., q(c{d-1}), B(ci, cj) for i < j) for
+        the form q(x) = sum of x_i x_j over the index pairs (i, j) and its
+        polarization B, as one straight-line expression.  The diagonal is q
+        itself: B(c, c) = 2q(c) vanishes in characteristic 2."""
+        both = pairs + tuple((j, i) for i, j in pairs)
+        values = [self._term_sum([(f"c{a}[{i}]", f"c{a}[{j}]") for i, j in pairs])
+                  for a in range(d)]
+        values += [self._term_sum([(f"c{a}[{i}]", f"c{b}[{j}]") for i, j in both])
+                   for a in range(d) for b in range(a + 1, d)]
+        return self._kernel(f"lambda {_names('c', d)}: ({', '.join(values)},)")
 
     def _matmul_kernel(self, d):
         """lambda a0, .., b0, ..: the rows of a b, given the d rows of each."""

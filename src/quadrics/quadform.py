@@ -11,16 +11,18 @@ with q(1) = 1 and the trace form t(x) = B(x, 1) = x_{n+1} + x_{2n+2}.
 q and B are each one straight-line kernel f(u, w) = sum of u_i w_j over
 index pairs, generated by Field.bilinear on a space's first call and then
 kept on it: q(w) = f(w, w) over the hyperbolic pairs, and B(u, w) =
-f(u, w) over those pairs and their swaps.  The trace is one field addition.
+f(u, w) over those pairs and their swaps.  The Gram kernel (Field.gram),
+kept the same way, gives q of each of dim columns and B of each pair of
+them in one call.  The trace is one field addition.
 A reflection r_v(w) = w - c v is one call to the field's linear-combination
 kernel raw_lincomb, and raw_word applies a word of raw letters (v, 1/q(v))
 one reflection at a time.
 
-A matrix m is tested against q through its Gram data: q of each column and B
-of each pair of columns, against the same values on the basis, read from
-_gram_pairs by is_isometry; a matrix that passes is invertible, so only a
-failing one is eliminated.  The Dickson invariant of an isometry is read
-from its h x h Lagrangian block, h = dim/2, in every characteristic (dickson).
+A matrix m is tested against q through its Gram data: is_isometry compares
+one Gram kernel call on the columns of m with the same values on the basis;
+a matrix that passes is invertible, so only a failing one is eliminated.
+The Dickson invariant of an isometry is read from its h x h Lagrangian
+block, h = dim/2, in every characteristic (dickson).
 """
 
 from functools import cache
@@ -116,10 +118,11 @@ def _pairs(shape, n):
     return tuple((i, h + i) for i in range(h))
 
 
-# The index pairs of each form kernel of a space.
-_KERNEL_PAIRS = {
-    "_q": lambda s: s.pairs,
-    "_b": lambda s: s.pairs + tuple((j, i) for i, j in s.pairs),
+# How each form kernel of a space is built.
+_KERNELS = {
+    "_q": lambda s: s.field.bilinear(s.pairs),
+    "_b": lambda s: s.field.bilinear(s.pairs + tuple((j, i) for i, j in s.pairs)),
+    "_gram": lambda s: s.field.gram(s.pairs, s.dim),
 }
 
 
@@ -127,7 +130,7 @@ class SplitSpace:
     """A split quadratic space of one of the two shapes above; its form
     kernels are built on first use, so constructing it compiles nothing."""
 
-    __slots__ = ("field", "shape", "n", "dim", "pairs", "_q", "_b")
+    __slots__ = ("field", "shape", "n", "dim", "pairs", "_q", "_b", "_gram")
 
     def __init__(self, field, shape, n):
         if shape not in SHAPES:
@@ -200,11 +203,11 @@ class SplitSpace:
     # -- the form, its polarization, and the trace -------------------------
 
     def __getattr__(self, name):
-        """An unset kernel slot (_q, _b): built here on first use and kept
-        in the slot."""
-        if name not in _KERNEL_PAIRS:
+        """An unset kernel slot (_q, _b, _gram): built here on first use and
+        kept in the slot."""
+        if name not in _KERNELS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        kernel = self.field.bilinear(_KERNEL_PAIRS[name](self))
+        kernel = _KERNELS[name](self)
         setattr(self, name, kernel)
         return kernel
 
@@ -421,28 +424,13 @@ def reflection_matrix(space, v):
 
 @cache
 def _basis_form_values(shape, n):
-    """q(e_j), then ((i, j), B(e_i, e_j)) for i < j, as raw 0/1 read from
-    _pairs: q(e_j) = 0, and B(e_i, e_j) = 1 exactly on a hyperbolic pair.
-    Shared by every space of one shape and rank, over every field."""
+    """The Gram kernel's values on the basis, as raw 0/1 read from _pairs:
+    q(e_j) = 0 for each j, then B(e_i, e_j) for i < j, which is 1 exactly on
+    a hyperbolic pair.  Shared by every space of one shape and rank, over
+    every field."""
     pairs = _pairs(shape, n)
     d = _dim(shape, n)
-    q_vals = (0,) * d
-    b_vals = tuple(((i, j), int((i, j) in pairs))
-                   for i in range(d) for j in range(i + 1, d))
-    return q_vals, b_vals
-
-
-def _gram_pairs(space, m):
-    """(got, want) for q on each column of m, then B on each pair of columns,
-    against the basis values: m preserves q iff got = want throughout, over
-    any ring.  Only the field and the dimension are checked here."""
-    _check_shape(space, m)
-    cols = tuple(zip(*m.rows))
-    q_vals, b_vals = _basis_form_values(space.shape, space.n)
-    for col, want in zip(cols, q_vals):
-        yield space.raw_q(col), want
-    for (i, j), want in b_vals:
-        yield space.raw_b(cols[i], cols[j]), want
+    return (0,) * d + tuple(int((i, j) in pairs) for i in range(d) for j in range(i + 1, d))
 
 
 # B is nondegenerate on both shapes, so an isometry is invertible, and
@@ -450,9 +438,11 @@ def _gram_pairs(space, m):
 # SingularMatrix on a singular m.
 
 def is_isometry(space, m):
-    """True iff m preserves q; stops at the first Gram value that differs.
-    A singular m raises SingularMatrix."""
-    if all(got == want for got, want in _gram_pairs(space, m)):
+    """True iff m preserves q: one Gram kernel call on the columns of m
+    gives every q and B value, and all must equal the basis values, over any
+    ring.  A singular m raises SingularMatrix."""
+    _check_shape(space, m)
+    if space._gram(*zip(*m.rows)) == _basis_form_values(space.shape, space.n):
         return True
     _check_matrix(space, m)
     return False

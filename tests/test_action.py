@@ -119,17 +119,15 @@ def test_in_so_odd():
 
 
 def test_in_so_odd_makes_one_gram_pass(monkeypatch):
-    import quadrics.quadform as quadform
     c = ctx3()
     g = reflection_matrix(c.space, c.space.vector([0, 1, 0, 2])) * \
         reflection_matrix(c.space, c.space.vector([1, 0, 1, 0]))
     calls = []
-    real = quadform._gram_pairs
-    monkeypatch.setattr(quadform, "_gram_pairs",
-                        lambda space, m: calls.append(m) or real(space, m))
+    real = c.space._gram
+    monkeypatch.setattr(c.space, "_gram", lambda *cols: calls.append(cols) or real(*cols))
     assert "dickson" not in g.cache
     assert in_so_odd(c, g)
-    assert calls == [g]
+    assert calls == [tuple(zip(*g.rows))]
 
 
 @pytest.mark.parametrize("field,n", [(F2, 1), (F3, 1), (F4, 1), (F2, 2)])

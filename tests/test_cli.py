@@ -2,8 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,7 +57,7 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv,message", [
+USAGE_ERRORS = [
     (["transport", "--n", "1", "--field", "3", "--point", "0,0,0,1", "--all"],
      "argument --all: not allowed with argument --point"),
     (["transport", "--n", "1", "--field", "3"], "one of the arguments --point --all is required"),
@@ -64,7 +67,10 @@ def test_usage_error_exit_code():
     (["verify", "homogeneous", "--n", "1", "--field", "3", "--q", "3"],
      "argument --q: not allowed with argument --field"),
     (["verify", "recursion", "--n", "1"], "one of the arguments --field --q is required"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
 def test_conflicting_or_missing_options_are_usage_errors(capsys, argv, message):
     # each combination used to be dropped silently or refused by a hand check
     with pytest.raises(SystemExit) as exc:
@@ -900,3 +906,148 @@ def test_cli_exits_cleanly_on_any_argv(out_paths, argv):
     assert code in (0, 1, 2), argv
     assert "Traceback" not in stderr.getvalue(), argv
     assert "invalid literal" not in stderr.getvalue(), argv
+
+
+# integers are ASCII digits: int() and Fraction() also read 3_1 and Unicode
+# digits, which once gave F_31 for --field 3_1 and F_3 for --field ٣
+@pytest.mark.parametrize("spec", ["3_1", "٣", "２", "2^٢", "2_0^1"])
+def test_field_spec_digits_are_ascii(capsys, spec):
+    code = main(["count", "--n", "1", "--field", spec])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: cannot read field {spec!r}: "
+                            "expected p^k, a prime power q, or Q\n")
+
+
+@pytest.mark.parametrize("spec,point,message", [
+    ("5", "1_0,0,0,1", "cannot read '1_0' as an element of field 5"),
+    ("5", "0,0,0,٦", "cannot read '٦' as an element of field 5"),
+    ("5", "0,0,0,１", "cannot read '１' as an element of field 5"),
+    ("2^2", "٣*g,0,0,1", "cannot read '٣*g' in '٣*g' as an element of field 2^2"),
+    ("2^2", "0,0,0,g^٣", "cannot read 'g^٣' in 'g^٣' as an element of field 2^2"),
+    ("2^2", "0,0,0,١", "cannot read '١' in '١' as an element of field 2^2"),
+    ("Q", "0,0,0,1_0/1_0", "cannot read '1_0/1_0' as an element of field Q"),
+    ("Q", "0,0,0,٣/٣", "cannot read '٣/٣' as an element of field Q"),
+])
+def test_point_digits_are_ascii(capsys, spec, point, message):
+    code = main(["transport", "--n", "1", "--field", spec, "--point", point])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# -- one argparse pass ------------------------------------------------------------
+
+PARSER_ARGVS = [
+    "count --n 1 --field 3", "count --n 2 --q 9 --format csv",
+    "verify homogeneous --n 1 --field 3", "verify spin --n 1 --field 3 --format table",
+    "verify similitude --n 1 --field 2^2", "verify recursion --n 2 --q 5",
+    "verify recursion --n 2 --field 4 --force",
+    "transport --n 1 --field 3 --point 0,1,0,0", "transport --n 1 --field 2 --all",
+    "transport --n 1 --field 3 --point=0,1,0,0 --force",
+    *(" ".join(argv) for argv, _ in USAGE_ERRORS),
+    "", "-h", "--help", "transport -h", "verify -h", "bogus", "--n 1 count", "verify bogus",
+    "count --n 1 --field 3 extra", "transport --n 1 --field 3 --all x y",
+    "count --n x --field 3", "transport --n 1 --field 3 --poi 0,1,0,0",
+    "transport --n 1 --field 3 --fo json --all",
+]
+
+
+def _outcome(call, argv):
+    """(result or ("exit", code), stdout, stderr) of call(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("line", PARSER_ARGVS)
+def test_one_pass_parse_matches_parse_args(monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")   # the help text wraps to the terminal
+    argv = line.split()
+    assert _outcome(cli._parse, argv) == _outcome(cli._parser().parse_args, argv)
+    got = _outcome(main, argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+    assert got == _outcome(main, argv)
+
+
+CONSOLE_ARGVS = ["transport --n 2 --field 5 --point 3,2,1,3,3,0", "bogus",
+                 "count --n 1 --field 3 extra", "transport -h"]
+
+
+@pytest.mark.parametrize("line", CONSOLE_ARGVS)
+def test_console_script_reads_sys_argv(monkeypatch, line):
+    """main() with no argv, as the console script and `python -m` call it,
+    reads sys.argv and prints what main(argv) prints in-process."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "quadrics.cli", *line.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _outcome(main, line.split())
+    code = code[1] if isinstance(code, tuple) else code
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+# -- the JSON writer ---------------------------------------------------------------
+
+def _records(monkeypatch, argvs):
+    """The record of each command line, as main hands it to _emit."""
+    records = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_emit", lambda record, args: records.append(record))
+        for argv in argvs:
+            assert main(list(argv)) in (0, 1)
+    return records
+
+
+def test_json_writer_matches_json_dumps_on_golden_reports(monkeypatch):
+    argvs = ([("transport", "--n", n, "--field", spec, "--all") for n, spec in TRANSPORT_ALL_SHA256]
+             + [("transport", "--n", "2", "--field", spec, "--point", point)
+                for spec, point in TRANSPORT_GOLDEN]
+             + [("verify", "homogeneous", "--n", n, "--field", spec)
+                for n, spec in HOMOGENEOUS_GOLDEN]
+             + list(CENSUS_GOLDEN)
+             + [("verify", "similitude", "--n", str(n), "--field", spec)
+                for n, spec in SIMILITUDE_CELLS]
+             + [("count", "--n", "6", "--q", "9"), ("verify", "recursion", "--n", "6", "--q", "5")])
+    for record in _records(monkeypatch, argvs):
+        assert cli._to_json(record) == json.dumps(record, indent=2)
+
+
+def test_json_writer_matches_json_dumps_on_benchmark_jobs(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    argvs = [job.argv for name in ("homogeneous", "transport", "census")
+             for job in workloads.build(name, 1)[0]]
+    records = _records(monkeypatch, argvs)
+    assert len(records) == len(argvs)
+    for record in records:
+        assert cli._to_json(record) == json.dumps(record, indent=2)
+
+
+_JSON_TEXT = st.text(st.characters(max_codepoint=0x1FFFF)) | st.sampled_from(
+    ["", "\x00\x1f\x7f", '"\\/\n\t', " é", "\U0001F600", "\ud800"])
+_JSON_LEAVES = (st.none() | st.booleans() | _JSON_TEXT | st.integers()
+                | st.integers(min_value=2 ** 64) | st.integers(max_value=-2 ** 64))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "x"}, {None: 1}, [{"k": {2: 3}}]],
+                         ids=repr)
+def test_json_writer_refuses_floats_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        cli._to_json(value)

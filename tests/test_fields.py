@@ -16,7 +16,7 @@ from quadrics.errors import (
 import quadrics.fields as fields
 from quadrics.fields import Field, FieldElement, is_prime, is_prime_power
 from quadrics.action import GroupContext
-from quadrics.quadform import GroupElement, Vector
+from quadrics.quadform import GroupElement, SplitSpace, Vector
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -267,8 +267,11 @@ def test_matrix_kernels_match_the_reference_sum_of_products(f):
 
 def test_matrix_kernels_compile_on_the_first_product_of_each_dimension():
     field = Field.prime(13)
-    GroupContext(field, 2)
+    ctx = GroupContext(field, 2)
     assert not field._matmuls and not field._matvecs
+    for space in (ctx.space, ctx.even_space):   # no Gram kernel either
+        with pytest.raises(AttributeError):
+            SplitSpace._gram.__get__(space)
     for d in (6, 8, 6, 8):
         m = GroupElement.identity(field, d)
         assert (m * m).rows == m.rows

@@ -424,10 +424,9 @@ def test_basis_form_values_are_the_form_on_the_basis(f):
         for n in (1, 2, 3):
             s = SplitSpace(f, shape, n)
             basis = [tuple(1 if i == j else 0 for i in range(s.dim)) for j in range(s.dim)]
-            q_vals, b_vals = _basis_form_values(shape, n)
-            assert list(q_vals) == [s.raw_q(e) for e in basis]
-            assert list(b_vals) == [((i, j), s.raw_b(basis[i], basis[j]))
-                                    for i in range(s.dim) for j in range(i + 1, s.dim)]
+            assert list(_basis_form_values(shape, n)) == \
+                [s.raw_q(e) for e in basis] + [s.raw_b(basis[i], basis[j])
+                                               for i in range(s.dim) for j in range(i + 1, s.dim)]
 
 
 def test_reflection_determinant_odd_characteristic():
@@ -454,6 +453,20 @@ def _gram(space, m):
     cols, d = list(zip(*m.rows)), space.dim
     return [space.raw_q(c) for c in cols] + \
         [space.raw_b(cols[i], cols[j]) for i in range(d) for j in range(i + 1, d)]
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, Q], ids=["F2", "F3", "F4", "Q"])
+def test_gram_kernel_is_q_on_each_column_and_b_on_each_pair(f):
+    # the diagonal is q itself, which B(c, c) = 2q(c) would lose over F_2 and F_4
+    rng = random.Random(7)
+    elements = list(range(f.q)) if f.is_finite else [Fraction(k, 3) for k in range(-4, 5)]
+    for shape in SHAPES:
+        for n in (1, 2, 3):
+            s = SplitSpace(f, shape, n)
+            for _ in range(5):
+                m = GroupElement(f, [[rng.choice(elements) for _ in range(s.dim)]
+                                     for _ in range(s.dim)])
+                assert list(s._gram(*zip(*m.rows))) == _gram(s, m)
 
 
 def _reference_verdict(space, m, want):

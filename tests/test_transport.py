@@ -372,10 +372,10 @@ def test_reverify_recomputes_the_dickson_invariant(field):
                                         ([0, 1, 0, 0], "case1"),
                                         ([1, 0, 0, 1], "case2")])
 def test_construction_runs_one_gram_pass_and_one_dickson(monkeypatch, point, path):
-    """Construction also evaluates q once on the point (is_on_quadric),
-    once per letter (verify; the matrix is built from the rule's letters)
-    and once per column in the Gram pass: q(point) = q(x_0) = 0 is not
-    evaluated again for the rule."""
+    """Construction also evaluates q once on the point (is_on_quadric) and
+    once per letter (verify; the matrix is built from the rule's letters);
+    the Gram pass is one Gram kernel call, which evaluates no raw_q:
+    q(point) = q(x_0) = 0 is not evaluated again for the rule."""
     import quadrics.quadform as quadform
     import quadrics.transport as transport
     calls = {"gram": 0, "dickson": 0}
@@ -391,20 +391,20 @@ def test_construction_runs_one_gram_pass_and_one_dickson(monkeypatch, point, pat
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(quadform, "_gram_pairs", counted("gram", quadform._gram_pairs))
     dickson = counted("dickson", quadform._dickson)
     monkeypatch.setattr(quadform, "_dickson", dickson)
     monkeypatch.setattr(transport, "_dickson", dickson)
     c = GroupContext(F3, 1)
+    c.space._gram = counted("gram", c.space._gram)
     target = c.space.vector(point)
     monkeypatch.setattr(SplitSpace, "raw_q", counted_q)
     cert = quadric_transport(c, target)
     assert cert.path == path
     assert calls == {"gram": 1, "dickson": 1}
-    assert q_calls == [1 + len(cert.word) + c.dim]
+    assert q_calls == [1 + len(cert.word)]
     assert cert.verify()
     assert calls == {"gram": 2, "dickson": 2}
-    assert q_calls == [1 + 2 * len(cert.word) + 2 * c.dim]
+    assert q_calls == [1 + 2 * len(cert.word)]
 
 
 def test_certificates_are_built_without_matrix_products(monkeypatch):
