@@ -4,8 +4,8 @@ Every quadric point is reached from x_0 by a word of at most two trace-0
 reflections (so the word fixes 1) in Dickson invariant 0, in closed form:
 r_{w - x_0} followed by the fixed reflection r_{e_1 + e_{n+2}} when
 q(w - x_0) != 0, else the pair [w - r_a(x_0), a] with a = e_{n+1} - e_{2n+2}.
-Each certificate carries its assembled matrix and is re-verified before
-being returned.
+A certificate is its word: its matrix is derived from the word, and it is
+verified before being returned.
 
 Run with:  python demos/05_transport_certificates.py
 """

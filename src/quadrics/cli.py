@@ -57,6 +57,17 @@ def _parse(argv):
     return args
 
 
+def _ascii_int(text):
+    """int(text) for --n and --q, refusing what Field.parse refuses: text
+    that is not ASCII or holds "_" (int() reads 3_1 and Unicode digits)."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
+_ascii_int.__name__ = "int"   # argparse names the type: "invalid int value"
+
+
 @functools.cache
 def _parser():
     """The argument parser, built on the first main() call and then reused:
@@ -69,11 +80,11 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, symbolic_q=False):
-        p.add_argument("--n", type=int, required=True, help="rank parameter n")
+        p.add_argument("--n", type=_ascii_int, required=True, help="rank parameter n")
         field = p.add_mutually_exclusive_group(required=True) if symbolic_q else p
         field.add_argument("--field", help="field spec: p^k, its order q, or Q")
         if symbolic_q:
-            field.add_argument("--q", type=int, help="symbolic prime power (no enumeration)")
+            field.add_argument("--q", type=_ascii_int, help="symbolic prime power (no enumeration)")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--force", action="store_true", help="override size guards")

@@ -14,7 +14,7 @@ BRUTE_GUARD = 10 ** 9     # candidate cap q^(dim^2) for direct enumeration
 CLOSURE_GUARD = 10 ** 6   # the SO-model listed by so_model_closure, and |Stab(x_0)| in
                           # so_orbit_stabilizer; the chain never lists Stab(x_0), so this
                           # does not bound its work, and it refuses (n, q) = (3, 3),
-                          # about 0.08 s forced (ROADMAP.md, item 1: a guard on the chain)
+                          # about 0.08 s forced (ROADMAP.md, item 4: a guard on the chain)
 
 
 def exceeds(q, e, guard):

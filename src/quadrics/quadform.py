@@ -255,18 +255,17 @@ class SplitSpace:
 class GroupElement:
     """An invertible square matrix over a Field, acting on column vectors.
 
-    Rows are stored as tuples of packed raw values.  The forward elimination
-    (rank and determinant) is cached after first computation.  There is no
-    general inverse: an isometry's inverse is its Gram adjoint,
+    Rows are stored as tuples of packed raw values.  Rank and determinant
+    come from one forward elimination per call.  There is no general
+    inverse: an isometry's inverse is its Gram adjoint,
     OrbitStabilizer.inverse in quadrics.action.
     """
 
-    __slots__ = ("field", "rows", "cache")
+    __slots__ = ("field", "rows")
 
     def __init__(self, field, rows):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "cache", {})
         d = len(self.rows)
         if any(len(r) != d for r in self.rows):
             raise DimensionMismatch("matrix is not square")
@@ -312,10 +311,8 @@ class GroupElement:
         return Vector(self.field, self.field.matvec(self.rows, v.raws))
 
     def _elimination(self):
-        """Forward-eliminate M once; return (rank, det_raw), cached together
-        on the matrix.  det_raw is 0 when the rank is short."""
-        if "elimination" in self.cache:
-            return self.cache["elimination"]
+        """Forward-eliminate M; return (rank, det_raw), with det_raw 0 when
+        the rank is short."""
         f = self.field
         sub, mul = f.raw_sub, f.raw_mul
         d = self.dim
@@ -337,9 +334,7 @@ class GroupElement:
                     c = mul(rows[r][col], inv_lead)
                     rows[r] = [sub(x, mul(c, y)) for x, y in zip(rows[r], lead)]
             rank += 1
-        result = rank, (det if rank == d else 0)
-        self.cache["elimination"] = result
-        return result
+        return rank, (det if rank == d else 0)
 
     def rank(self):
         return self._elimination()[0]
@@ -404,12 +399,9 @@ def raw_word(space, letters, w):
 
 def word_matrix(space, word):
     """The matrix of r_{v_1} ... r_{v_m}: column j is the word applied, right
-    to left, to e_{j+1}."""
-    return _letters_matrix(space, [_reflector(space, v) for v in word])
-
-
-def _letters_matrix(space, letters):
-    """word_matrix for raw letters [(v_1, 1/q(v_1)), ...]; nothing is checked."""
+    to left, to e_{j+1}; q is evaluated once per letter, and q = 0 raises
+    NonUnitNorm."""
+    letters = [_reflector(space, v) for v in word]
     d = space.dim
     cols = [raw_word(space, letters, (0,) * j + (1,) + (0,) * (d - 1 - j)) for j in range(d)]
     return GroupElement.from_columns(space.field, cols)

@@ -17,10 +17,10 @@ x_0 with the one auxiliary a = e_{n+1} - e_{2n+2}, which serves in case 2
 (p_{n+1} = 0) over every field, and the reversed word moves x_0 to p.  A
 case-1 word is followed by r_{u*}, u* = e_1 + e_{n+2} (which fixes both 1
 and x_0), to land in the Dickson-0 model; both letters are built once per
-GroupContext.  A certificate's matrix is built from the rule's raw letters.
-TransportCertificate.verify is its one check, run at construction: q once
-per letter, one Gram pass and the Dickson invariant from the matrix's h x h
-Lagrangian block (quadform.dickson).
+GroupContext.  A certificate is its word, and its matrix is derived from it
+(quadform.word_matrix).  TransportCertificate.verify is its one check, run
+at construction: q once per letter, one Gram pass and the Dickson invariant
+from the matrix's h x h Lagrangian block (quadform.dickson).
 """
 
 from itertools import product
@@ -32,42 +32,28 @@ from .errors import (
     NotOnQuadric,
     SearchExhausted,
 )
-from .quadform import Vector, _dickson, _letters_matrix, is_isometry, word_matrix
+from .quadform import Vector, _dickson, is_isometry, word_matrix
 from .quadric import AmbientQuadricPoint, enumerate_quadric, is_on_quadric
 
 DEFAULT_HEIGHT = 5
 
 
 class TransportCertificate:
-    """A reflection word with its assembled matrix.
+    """A reflection word [v_1, ..., v_m] of Vectors, acting right to left as
+    r_{v_1} ... r_{v_m}, that moves `source` to `target`; `matrix` is derived
+    from the word on each read.  `verify()` is the one check: the call made
+    at construction records the Dickson invariant and sets `verified`, and
+    each later call recomputes everything from the word.  A word vector with
+    q = 0 fails it, so construction raises InvariantViolation for it too."""
 
-    The word [v_1, ..., v_m] acts right to left: the assembled element is
-    r_{v_1} ... r_{v_m}.  Applying it to `source` yields `target`.
-    `verify()` is the one check: the call made at construction records the
-    Dickson invariant it computes and sets `verified`; each later call
-    recomputes everything from the matrix.  A word vector with q = 0 fails
-    it, so construction raises InvariantViolation for it too.  Given as the
-    rule's raw letters (v, 1/q(v)), the word's matrix needs no q.
-    """
-
-    __slots__ = ("space", "word", "source", "target", "matrix", "dickson", "path",
-                 "verified")
+    __slots__ = ("space", "word", "source", "target", "dickson", "path", "verified")
 
     def __init__(self, space, word, source, target, path):
-        letters = None
-        if word and not isinstance(word[0], Vector):   # the rule's raw letters
-            letters, word = word, [Vector(space.field, v) for v, _ in word]
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "word", tuple(word))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "path", path)
-        try:
-            matrix = (word_matrix(space, self.word) if letters is None
-                      else _letters_matrix(space, letters))
-        except NonUnitNorm:
-            matrix = None   # verify() stops at the letter with q = 0
-        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "verified", False)
         if not self.verify():
             raise InvariantViolation("transport certificate failed verification")
@@ -76,19 +62,23 @@ class TransportCertificate:
     def __setattr__(self, name, value):
         raise AttributeError("TransportCertificate is immutable")
 
+    @property
+    def matrix(self):
+        """The word's matrix, word_matrix(space, word)."""
+        return word_matrix(self.space, self.word)
+
     def verify(self):
-        """Recheck the certificate from the word and the matrix: word vectors
-        have invertible norm, the matrix moves source to target, and one Gram
-        pass shows it an isometry.  The Dickson invariant is then computed
-        from the matrix; the first call records it, later calls compare
-        against it."""
+        """Recheck from the word: its matrix (a letter with q = 0 fails), the
+        move from source to target, one Gram pass, and the Dickson invariant,
+        which the first call records and later calls compare against."""
         space = self.space
-        for v in self.word:
-            if not space.raw_q(v.raws):
-                return False
-        if self.matrix.apply(self.source) != self.target or not is_isometry(space, self.matrix):
+        try:
+            m = self.matrix
+        except NonUnitNorm:
             return False
-        d = _dickson(space, self.matrix)
+        if m.apply(self.source) != self.target or not is_isometry(space, m):
+            return False
+        d = _dickson(space, m)
         if not self.verified:
             object.__setattr__(self, "dickson", d)
         return d == self.dickson
@@ -165,7 +155,8 @@ def reflection_transport(space, x, y):
     raw_q, inv = space.raw_q, space.field.raw_inv
     auxiliaries = ((v.raws, inv(qv)) for v in _candidates(space) if (qv := raw_q(v.raws)))
     letters, path = _two_reflections(space, x.raws, y.raws, qx, auxiliaries)
-    return TransportCertificate(space, letters, x, y, path)
+    word = [Vector(space.field, v) for v, _ in letters]
+    return TransportCertificate(space, word, x, y, path)
 
 
 def dickson_fixer(ctx):
@@ -215,7 +206,8 @@ def quadric_transport(ctx, point):
         letters.append(_fixed_letter(ctx, dickson_fixer, 1))
     if any(space.raw_trace(v) for v, _ in letters):
         raise InvariantViolation("quadric transport word left the trace-0 subspace")
-    return TransportCertificate(space, letters, ctx.x0, target, path)
+    word = [Vector(space.field, v) for v, _ in letters]
+    return TransportCertificate(space, word, ctx.x0, target, path)
 
 
 def transport_all(ctx, force=False):

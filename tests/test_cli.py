@@ -936,6 +936,23 @@ def test_point_digits_are_ascii(capsys, spec, point, message):
     assert captured.err == f"error: {message}\n"
 
 
+# --n and --q read ASCII digits as Field.parse does: int() alone once gave
+# n = 2 over q = 31 for --n ٢ --q 3_1
+@pytest.mark.parametrize("argv,option,value", [
+    (["count", "--n", "٢", "--q", "3_1"], "--n", "٢"),
+    (["count", "--n", "1", "--q", "３"], "--q", "３"),
+    (["verify", "recursion", "--n", "2", "--q", "3_1"], "--q", "3_1"),
+    (["transport", "--n", "1_0", "--field", "3", "--all"], "--n", "1_0"),
+    (["count", "--n", "x", "--field", "3"], "--n", "x"),
+])
+def test_integer_options_are_ascii(capsys, argv, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f": error: argument {option}: invalid int value: {value!r}\n")
+
+
 # -- one argparse pass ------------------------------------------------------------
 
 PARSER_ARGVS = [

@@ -358,15 +358,6 @@ def test_word_matrix_refuses_an_isotropic_vector_anywhere(f, position):
         word_matrix(s, word)
 
 
-def test_det_reuses_the_elimination_behind_is_invertible():
-    s = SplitSpace.even(F5, 2)
-    m = reflection_matrix(s, s.one_vector()) * reflection_matrix(s, s.vector([1, 2, 3, 4]))
-    assert m.is_invertible
-    eliminated = m.cache["elimination"]
-    assert m.det() == F5.one and m.rank() == 4
-    assert m.cache["elimination"] is eliminated
-
-
 def gauss_jordan_rank_det(f, rows):
     """Rank and raw determinant by full Gauss-Jordan reduction with
     normalized pivots: the reference for the forward elimination."""
@@ -550,10 +541,10 @@ def test_dickson_rejects_a_singular_matrix():
 
 
 def test_dickson_does_not_trust_the_matrix_cache():
-    # a value left in the cache does not stand in for the isometry check
+    # no value kept on a matrix stands in for the isometry check: a matrix
+    # holds only its field and rows
     s = SplitSpace.even(F5, 1)
     m = GroupElement.of(F5, [[2, 0], [0, 1]])
-    m.cache["dickson"] = 0
     with pytest.raises(NotAnIsometry):
         dickson(s, m)
 

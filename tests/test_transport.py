@@ -11,7 +11,7 @@ from quadrics.errors import (
     SearchExhausted,
 )
 from quadrics.fields import Field
-from quadrics.quadform import SplitSpace
+from quadrics.quadform import SplitSpace, word_matrix
 from quadrics.quadric import base_point, count_closed_form, enumerate_quadric
 from quadrics.action import GroupContext, in_so_odd
 from quadrics.transport import (
@@ -356,15 +356,42 @@ def test_certificate_reverify():
         assert cert.verify()
 
 
+def test_a_certificate_is_its_word():
+    # the matrix is derived from the word on each read, never stored
+    assert "matrix" not in TransportCertificate.__slots__
+    c = GroupContext(Field.prime(5), 1)
+    for point in ([0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 1]):
+        cert = quadric_transport(c, c.space.vector(point))
+        assert cert.matrix == word_matrix(c.space, cert.word)
+        assert cert.matrix.apply(cert.source) == cert.target
+        with pytest.raises(AttributeError):
+            object.__setattr__(cert, "matrix", cert.matrix)
+
+
+def test_reverify_checks_the_word():
+    # a word swapped for another certificate's fails re-verification, and so
+    # does a word with an isotropic letter, which verify() refuses quietly
+    c = GroupContext(Field.prime(5), 1)
+    case1 = quadric_transport(c, c.space.vector([0, 1, 0, 0]))
+    case2 = quadric_transport(c, c.space.vector([1, 0, 0, 1]))
+    assert (case1.path, case2.path) == ("case1", "case2")
+    words = case1.word, case2.word
+    for cert, foreign in ((case1, words[1]), (case2, words[0])):
+        assert cert.verify()
+        object.__setattr__(cert, "word", foreign)
+        assert not cert.verify()
+    object.__setattr__(case1, "word", words[0][:1] + (c.x0,))   # q(x_0) = 0
+    assert not case1.verify()
+
+
 @pytest.mark.parametrize("field", [F2, F3], ids=str)
 def test_reverify_recomputes_the_dickson_invariant(field):
-    # a recorded invariant that the matrix does not have fails re-verification,
-    # even when the matrix's cache agrees with the record
+    # a recorded invariant that the word's matrix does not have fails
+    # re-verification
     c = GroupContext(field, 1)
     cert = quadric_transport(c, c.space.vector([0, 1, 0, 0]))
     assert cert.verify() and cert.dickson == 0
     object.__setattr__(cert, "dickson", 1)
-    cert.matrix.cache["dickson"] = 1
     assert not cert.verify()
 
 
