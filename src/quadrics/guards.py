@@ -12,9 +12,10 @@ ENUM_GUARD = 10 ** 8      # quadric points, q^(2n+1), and spin-check vectors, q^
 VECTOR_GUARD = 10 ** 8    # vectors swept for reflections and the similitude orbit
 BRUTE_GUARD = 10 ** 9     # candidate cap q^(dim^2) for direct enumeration
 CLOSURE_GUARD = 10 ** 6   # the SO-model listed by so_model_closure, and |Stab(x_0)| in
-                          # so_orbit_stabilizer; the chain never lists Stab(x_0), so this
-                          # does not bound its work, and it refuses (n, q) = (3, 3),
-                          # about 0.08 s forced (ROADMAP.md, item 4: a guard on the chain)
+                          # verify_homogeneous; its level words never list Stab(x_0), so
+                          # this does not bound their work, and it refuses (n, q) = (3, 3),
+                          # about 0.02 s forced (ROADMAP.md, item 6: guards in the units
+                          # of the work)
 
 
 def exceeds(q, e, guard):

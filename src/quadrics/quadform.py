@@ -257,8 +257,8 @@ class GroupElement:
 
     Rows are stored as tuples of packed raw values.  Rank and determinant
     come from one forward elimination per call.  There is no general
-    inverse: an isometry's inverse is its Gram adjoint,
-    OrbitStabilizer.inverse in quadrics.action.
+    inverse: an isometry's inverse is its Gram adjoint G m^T G, and a
+    reflection word's is the reversed word.
     """
 
     __slots__ = ("field", "rows")
