@@ -26,12 +26,11 @@ listed and nothing is stored per point: (n, q) = (2, 3) takes about 3 ms
 in-process (2 cores, Python 3.11).  orbit() grows the orbit of x_0 with
 grow_orbit; column enumeration is the cross-check.
 
-The similitude orbit of 1 grows no orbit: each expected vector is certified
-by a word of at most two reflections from transport._two_reflections, the
-package's one two-case rule, checked by applying it with quadform.raw_word,
-and grow_orbit runs only for the vectors left without one (over F_2),
-seeded with those certified: (2, 7) takes 0.3-0.5 s in-process (2 cores,
-Python 3.11), its sweep on the compiled form kernels and raw_lincomb.
+The similitude check certifies each vector of the unit sphere, swept by
+_level_set as the homogeneity levels are, by a checked word of at most two
+reflections from transport._two_reflections, and grows an orbit only for
+those left without one (over F_2): (2, 7) takes about 0.09 s and (2, 16)
+about 6 s in-process (2 cores, Python 3.11).
 """
 
 from functools import partial
@@ -41,6 +40,7 @@ from math import prod
 from .errors import (
     DimensionMismatch,
     InvalidPrimePower,
+    InvariantViolation,
     QuadricsError,
     SearchExhausted,
     TooLarge,
@@ -355,34 +355,36 @@ def _levels(ctx, points):
         u = (plus(e[k + 1], e[partner + 1]), 1) if k + 1 < n else None
         hyperbolic = plus(e[k], e[partner])
         auxiliaries = [(hyperbolic, 1)] + [(plus(hyperbolic, e[j]), 1) for j in rest]
-        yield e[k], fixed, _isotropic(ctx, k, False), auxiliaries, u, ()
+        yield e[k], fixed, _level_set(ctx.space, k, rest, 0), auxiliaries, u, ()
         fixed += (k,)
         if u is None:
             return
         auxiliaries = [(plus(plus(e[k], e[j]), e[(j + n + 1) % d], c), f.raw_inv(c))
                        for j in rest for c in range(1, f.q)]
         eichler = [_eichler(ctx, e[k], e[k + 1]), _eichler(ctx, e[k], e[partner + 1])]
-        yield e[partner], fixed, _isotropic(ctx, k, True), auxiliaries, u, eichler
+        yield e[partner], fixed, _level_set(ctx.space, k, rest, 0, True), auxiliaries, u, eichler
         fixed += (partner,)
 
 
-def _isotropic(ctx, k, partner_one):
-    """Lazily, the nonzero isotropic v = a e + b f + x, e = e_{k+1} at slot
-    k, f its partner and x in W_{k+2}: a b = -q(x).  With partner_one only
-    b = B(v, e) = 1, so a = -q(x)."""
-    f, n = ctx.field, ctx.n
+def _level_set(space, pair, slots, c, partner_one=False):
+    """Lazily, the nonzero v = a e + b f + x, q(v) = c: e, f the pair at slot
+    `pair` and its partner, x on the basis vectors at `slots`, a b = c - q(x)
+    from a table of products, one q per x; with partner_one only b = 1."""
+    f, h = space.field, space.dim // 2
     rng = range(f.q)
     by_product = {}
     for a in rng:
         for b in ((1,) if partner_one else rng):
             by_product.setdefault(f.raw_mul(a, b), []).append((a, b))
-    pad, m, neg, raw_q = (0,) * k, n - 1 - k, f.raw_neg, ctx.space.raw_q
-    for x in product(rng, repeat=2 * m):
-        xe, xf = x[:m], x[m:]
-        nonzero = any(x)
-        for a, b in by_product[neg(raw_q(pad + (0,) + xe + (0,) + pad + (0,) + xf + (0,)))]:
-            if a or b or nonzero:
-                yield pad + (a,) + xe + (0,) + pad + (b,) + xf + (0,)
+    v, sub, raw_q = [0] * space.dim, f.raw_sub, space.raw_q
+    for x in product(rng, repeat=len(slots)):
+        for s, a in zip(slots, x):
+            v[s] = a
+        v[pair] = v[pair + h] = 0
+        for a, b in by_product[sub(c, raw_q(v))]:
+            if a or b or any(x):
+                v[pair], v[pair + h] = a, b
+                yield tuple(v)
 
 
 def _eichler(ctx, e, x):
@@ -419,16 +421,22 @@ def level_words(ctx, points):
     ok says so, checked: the word even, each letter a reflection (q(v)
     times 1/q(v) is 1) orthogonal to the level's fixed vectors (B(v, e_s) =
     v at the partner of s, and B(v, 1) = t(v)), m an SO-model member fixing
-    them, and the word, applied with raw_word, landing on the base.  letters
-    is None where there is no word.  A case-1 word is followed by r_u; at
-    the bottom level, with no u, its point is skipped: r_{p - e_n} swaps
-    e_n and f_n, so p lies outside SO_2's orbit."""
+    them, and the word, applied with raw_word, landing on the base.  Fixed
+    letters (u, the auxiliaries) are checked once per level, any other in
+    its word.  letters is None where there is no word.  A case-1 word is
+    followed by r_u; at the bottom level, with no u, its point is skipped:
+    r_{p - e_n} swaps e_n and f_n, so p lies outside SO_2's orbit."""
     space, f = ctx.space, ctx.field
     raw_q, trace, mul, matvec = space.raw_q, space.raw_trace, f.raw_mul, f.matvec
     h = ctx.dim // 2
+
+    def reflection(v, inv_q):   # orthogonal to 1 and to the level's fixed vectors
+        return mul(raw_q(v), inv_q) == 1 and not trace(v) and not any([v[s] for s in zero])
+
     for i, (base, fixed, candidates, auxiliaries, u, eichler) in enumerate(_levels(ctx, points)):
         zero = [(s + h) % ctx.dim for s in fixed]
         kept = [space.basis_vector(s).raws for s in fixed]
+        checked = {letter for letter in [u, *auxiliaries] if letter and reflection(*letter)}
         for p in candidates:
             word = _word(space, p, base, auxiliaries, eichler)
             if word is None:
@@ -440,8 +448,7 @@ def level_words(ctx, points):
                     continue
                 letters = [u] + letters   # r_u fixes the base: applied last
             ok = (len(letters) % 2 == 0
-                  and all(mul(raw_q(v), inv_q) == 1 and not trace(v) and not any([v[s] for s in zero])
-                          for v, inv_q in letters)
+                  and all(letter in checked or reflection(*letter) for letter in letters)
                   and (m is None or in_so_odd(ctx, m) and all(matvec(m.rows, z) == z for z in kept))
                   and raw_word(space, letters, image) == base)
             yield i, p, letters, m, ok
@@ -564,6 +571,14 @@ def _auxiliaries_to_one(space):
              f.raw_inv(f.raw_add(1, s))) for s in range(2, f.q) for k in other]
 
 
+def _directions(space):
+    """The letters (v, 1/q(v)) of the vectors v with q(v) != 0 whose first
+    nonzero coordinate is 1, in sweep order: one per reflection."""
+    f, raw_q = space.field, space.raw_q
+    return [(v, f.raw_inv(qv)) for v in product(range(f.q), repeat=space.dim)
+            if (qv := raw_q(v)) and next(a for a in v if a) == 1]
+
+
 def verify_similitude_orbit(field, n, force=False):
     """Orbit of the vector 1 under the group generated by scalar matrices and
     reflection pairs, inside {q != 0}.  In characteristic 2 the orbit is all
@@ -571,26 +586,21 @@ def verify_similitude_orbit(field, n, force=False):
     is a nonzero square: the expected set.  The orbit never leaves it
     (scalars scale q by c^2, pairs preserve it).
 
-    One sweep evaluates q once per vector, counts the nonzero norms and the
-    expected vectors, and keeps only those left uncertified.  Each expected
-    v, q(v) = c^2, is certified by a checked pair: w = v / c has q(w) = 1,
-    transport._two_reflections moves w to 1 with _auxiliaries_to_one, and
-    its letters applied to w must give 1.  Case 2's letters are a pair; case
-    1's one letter r_{w-1} is followed by r_u, u = e_1 + e_{n+2}, which
-    fixes 1 (checked once, before the sweep).  With the scalar c the pair
-    puts v in the orbit; so when every expected vector is certified the
-    orbit is the expected set, with no orbit grown.
+    One sweep walks the unit sphere, the _level_set of q = 1 over the pair
+    (e_{n+1}, e_{2n+2}), checks q(w) = 1 on each w's own coordinates and
+    certifies w by a checked pair: the letters of transport._two_reflections
+    with _auxiliaries_to_one, applied to w, must give 1, a case-1 letter
+    r_{w-1} followed by r_u, u = e_1 + e_{n+2}, which fixes 1 (checked
+    once).  Each expected v, q(v) = c^2, is c (v / c), and scalars are in
+    the group.  The sphere must hold the split form's q^(2n+1) - q^n
+    vectors; scaling e_1..e_{n+1} by s carries it onto {q = s}.
 
-    When some vector is left uncertified (over F_2, where case 2 has no
-    auxiliary), a second sweep rebuilds the expected set and the directions,
-    and grow_orbit grows the orbit from 1 and the certified vectors, from
-    the scalars, then from one reflection pair r_a r_v at a time, until it
-    reaches the expected size or the pairs run out.  The directions are the
-    normalized nonzero-norm vectors in sweep order: a is the first, the
-    others follow those with v_1 != 0 first, since a_1 = 0 and a pair of
-    directions with v_1 = 0 fixes e_{n+2}.  Every seed lies in the orbit, so
-    equal sizes are equal sets, and if the pairs run out first the orbit is
-    that of the group all pairs generate."""
+    Over F_2, where case 2 has no auxiliary, grow_orbit grows the orbit from
+    1 and the multiples of the certified vectors, under the scalars, then
+    one pair r_a r_v of _directions at a time (a first, then v_1 != 0: a
+    pair with a_1 = v_1 = 0 fixes e_{n+2}), until it reaches the expected
+    size or the pairs run out.  It must equal the sphere's multiples, and
+    each pair it grew with must be two reflections."""
     f, d = field, 2 * n + 2
     if not f.is_finite:
         raise TooLarge("similitude orbit needs a finite field")
@@ -598,43 +608,30 @@ def verify_similitude_orbit(field, n, force=False):
         raise TooLarge(f"{f.q}^{d} vectors exceeds the sweep guard")
     space = SplitSpace.pointed_even(f, n)
 
-    inv, raw_q, lincomb = f.raw_inv, space.raw_q, f.raw_lincomb
-    # 1/c for each square c^2 != 0 (in characteristic 2 every norm is a square)
-    inv_root = {a: inv(c) for a in range(1, f.q) if (c := f.raw_sqrt(a)) is not None}
+    raw_q, mul, lincomb, scalars = space.raw_q, f.raw_mul, f.raw_lincomb, range(1, f.q)
     one = space.one_vector().raws
     auxiliaries = _auxiliaries_to_one(space)
     u_fixes_one = raw_word(space, [(dickson_fixer(space).raws, 1)], one) == one   # q(u) = 1
-    nonzero_norm = expected = 0
-    uncertified = []
-    for raws in product(range(f.q), repeat=d):
-        qa = raw_q(raws)
-        if not qa:
-            continue
-        nonzero_norm += 1
-        inv_c = inv_root.get(qa)
-        if inv_c is None:
-            continue
-        expected += 1
-        w = lincomb(inv_c, raws, 0, raws)   # v / c
+    sphere, uncertified, even = 0, [], [*range(n), *range(n + 1, d - 1)]
+    for w in _level_set(space, n, even, 1):
+        if raw_q(w) != 1:
+            raise InvariantViolation(f"q(w) != 1 for the sphere vector {w}")
+        sphere += 1
         try:
             letters, path = _two_reflections(space, w, one, 1, auxiliaries)
             certified = (u_fixes_one or path != "case1") and raw_word(space, letters, w) == one
         except SearchExhausted:
             certified = False
         if not certified:
-            uncertified.append(raws)
+            uncertified.append(w)
 
-    orbit_size, passed = expected, True
+    expected = len({mul(c, c) for c in scalars}) * sphere
+    orbit_size, passed = expected, sphere == f.q ** (d - 1) - f.q ** n
     if uncertified:
-        members, directions = set(), []
-        for raws in product(range(f.q), repeat=d):
-            qa = raw_q(raws)
-            if qa in inv_root:
-                members.add(raws)
-            if qa and next(a for a in raws if a) == 1:
-                directions.append((raws, inv(qa)))
-        seen = dict.fromkeys(chain((one,), members.difference(uncertified)), (None, None))
-        a, *rest = directions   # r_a r_a is the identity
+        members = {lincomb(c, w, 0, w) for w in _level_set(space, n, even, 1) for c in scalars}
+        left = {lincomb(c, w, 0, w) for w in uncertified for c in scalars}
+        seen = dict.fromkeys(chain((one,), members - left), (None, None))
+        a, *rest = _directions(space)   # r_a r_a is the identity
         rest.sort(key=lambda letter: not letter[0][0])   # stable: v_1 != 0 first
         pairs = [[a, v] for v in rest]   # r_a r_v
 
@@ -647,14 +644,15 @@ def verify_similitude_orbit(field, n, force=False):
                 break
             maps.append(g)
             grow_orbit(seen, (g,), maps, image, stop=expected)
-        orbit_size, passed = len(seen), seen.keys() == members
-    report = {
+        reflections = all(mul(raw_q(v), inv_q) == 1
+                          for g in maps if not isinstance(g, int) for v, inv_q in g)
+        orbit_size, passed = len(seen), passed and reflections and seen.keys() == members
+    return {
         "check": "similitude",
         "n": n,
         "field": str(field),
         "orbit_size": orbit_size,
-        "nonzero_norm_vectors": nonzero_norm,
+        "nonzero_norm_vectors": (f.q - 1) * sphere,
         "expected_orbit_size": expected,
         "pass": passed,
     }
-    return report

@@ -9,7 +9,8 @@ its limit to a string."""
 import sys
 
 ENUM_GUARD = 10 ** 8      # quadric points, q^(2n+1), and spin-check vectors, q^dim
-VECTOR_GUARD = 10 ** 8    # vectors swept for reflections and the similitude orbit
+VECTOR_GUARD = 10 ** 8    # vectors swept for reflections and the similitude orbit, read
+                          # on q^(2n+2) though the similitude check sweeps about q^(2n+1)
 BRUTE_GUARD = 10 ** 9     # candidate cap q^(dim^2) for direct enumeration
 CLOSURE_GUARD = 10 ** 6   # the SO-model listed by so_model_closure, and |Stab(x_0)| in
                           # verify_homogeneous; its level words never list Stab(x_0), so

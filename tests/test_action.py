@@ -29,6 +29,8 @@ from quadrics.quadric import (
 from quadrics.action import (
     GroupContext,
     _auxiliaries_to_one,
+    _level_set,
+    _levels,
     _normalize_raws,
     enumerate_group,
     enumerate_isometries,
@@ -474,6 +476,77 @@ def test_level_counts(n, q):
     assert counts[-1] == q - 1
 
 
+# -- the level sets q = c ------------------------------------------------------------
+
+def level_set_by_brute_force(space, pair, slots, c, partner_one):
+    """The nonzero v with q(v) = c supported on the pair and the slots, with
+    v at the pair's partner 1 under partner_one, from every vector."""
+    h, d = space.dim // 2, space.dim
+    off = [s for s in range(d) if s not in (pair, pair + h, *slots)]
+    return sorted(v for v in product(range(space.field.q), repeat=d)
+                  if any(v) and space.raw_q(v) == c and not any(v[s] for s in off)
+                  and (v[pair + h] == 1 or not partner_one))
+
+
+LEVEL_SET_CELLS = [(F2, 1), (F3, 1), (F4, 1), (F5, 1), (F2, 2), (F3, 2), (F4, 2)]
+
+
+@pytest.mark.parametrize("partner_one", [False, True], ids=["all", "partner-one"])
+@pytest.mark.parametrize("field,n", LEVEL_SET_CELLS,
+                         ids=[f"{n}-{f.q}" for f, n in LEVEL_SET_CELLS])
+def test_level_set_matches_brute_force(field, n, partner_one):
+    """Every v with q(v) = c on the slice appears exactly once, for c = 0, 1
+    and a non-square: over the last pair with x on the even slots (the
+    similitude's sphere), over the first pair with x on every other slot,
+    and over the first pair with x on the pairs strictly between, as the
+    lower levels take it."""
+    space = SplitSpace.pointed_even(field, n)
+    d, h = space.dim, space.dim // 2
+    slices = [(n, [s for s in range(d) if s % h != n]), (0, [s for s in range(d) if s % h]),
+              (0, [s for s in range(d) if 0 < s % h < n])]
+    non_squares = [c for c in range(1, field.q) if field.raw_sqrt(c) is None]
+    assert bool(non_squares) == (field.characteristic != 2)
+    for c in [0, 1] + non_squares[:1]:
+        for pair, slots in slices:
+            swept = list(_level_set(space, pair, slots, c, partner_one))
+            assert len(swept) == len(set(swept))
+            assert sorted(swept) == level_set_by_brute_force(space, pair, slots, c, partner_one)
+    sphere = list(_level_set(space, n, slices[0][1], 1))
+    assert len(sphere) == field.q ** (2 * n + 1) - field.q ** n
+
+
+def isotropic_sweep_before(ctx, k, partner_one):
+    """The candidates of the levels e_{k+1} and f_{k+1} as the lower levels
+    swept them before _level_set: the nonzero isotropic v = a e + b f + x,
+    e = e_{k+1} at slot k, f its partner and x in W_{k+2}, a b = -q(x), with
+    only b = 1 under partner_one."""
+    f, n = ctx.field, ctx.n
+    rng = range(f.q)
+    by_product = {}
+    for a in rng:
+        for b in ((1,) if partner_one else rng):
+            by_product.setdefault(f.raw_mul(a, b), []).append((a, b))
+    pad, m = (0,) * k, n - 1 - k
+    for x in product(rng, repeat=2 * m):
+        xe, xf = x[:m], x[m:]
+        qx = ctx.space.raw_q(pad + (0,) + xe + (0,) + pad + (0,) + xf + (0,))
+        for a, b in by_product[f.raw_neg(qx)]:
+            if a or b or any(x):
+                yield pad + (a,) + xe + (0,) + pad + (b,) + xf + (0,)
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (2, 3) for q in (2, 3, 4)],
+                         ids=[f"{n}-{q}" for n in (2, 3) for q in (2, 3, 4)])
+def test_lower_levels_sweep_the_isotropic_sets_as_before(n, q):
+    """Each level below x_0 (e_1, f_1, ..., e_n) sweeps the candidates of the
+    isotropic sweep it replaced, in the same order."""
+    c = GroupContext(Field.of_order(q), n)
+    lower = [candidates for _, _, candidates, *_ in _levels(c, [])][1:]
+    assert len(lower) == 2 * n - 1
+    for i, candidates in enumerate(lower):
+        assert list(candidates) == list(isotropic_sweep_before(c, i // 2, i % 2 == 1))
+
+
 EICHLER_CLOSES = {
     (2, 2): {2: 2}, (3, 2): {2: 4, 4: 2}, (4, 2): {2: 8, 4: 4, 6: 2},
     (2, 3): {}, (2, 4): {}, (2, 5): {}, (2, 7): {}, (2, 8): {}, (2, 9): {},
@@ -647,6 +720,9 @@ def test_similitude_orbit_stops_once_complete(monkeypatch, field, before):
 @pytest.mark.parametrize("field,n", [(F3, 1), (F4, 1), (Field.of_order(9), 1), (F3, 2)],
                          ids=["1-3", "1-4", "1-9", "2-3"])
 def test_similitude_orbit_evaluates_q_once_per_vector(monkeypatch, field, n):
+    """One q per x swept off the last pair, where the level set solves
+    a b = 1 - q(x), and one per sphere vector, checked on its own
+    coordinates."""
     calls = 0
     raw_q = SplitSpace.raw_q
 
@@ -657,7 +733,8 @@ def test_similitude_orbit_evaluates_q_once_per_vector(monkeypatch, field, n):
 
     monkeypatch.setattr(SplitSpace, "raw_q", counted)
     assert verify_similitude_orbit(field, n)["pass"]
-    assert calls == field.q ** (2 * n + 2)
+    q = field.q
+    assert calls == q ** (2 * n) + q ** (2 * n + 1) - q ** n
 
 
 # -- the two-reflection words of the similitude orbit ------------------------------
@@ -797,6 +874,8 @@ def test_corrupted_letter_leaves_its_vector_to_the_fallback(monkeypatch, field, 
     assert verify_similitude_orbit(field, n) == clean
     assert clean["pass"] and record["calls"] > 0
     assert bad not in record["seeds"] and one in record["seeds"]
+    assert not any(tuple(field.raw_mul(c, a) for a in bad) in record["seeds"]
+                   for c in range(1, field.q))
     assert len(record["seeds"]) < clean["expected_orbit_size"]
 
 
@@ -815,15 +894,15 @@ def test_similitude_fallback_over_f2(monkeypatch, field, n, orbit_size):
 
 
 def test_similitude_odd_characteristic_needs_no_orbit(monkeypatch):
-    """At (2,5) every expected vector is certified by its word: no grow_orbit
-    call, and at most two raw_reflect calls per expected vector, one for a
+    """At (2,5) every sphere vector is certified by its word: no grow_orbit
+    call, and at most two raw_reflect calls per sphere vector, one for a
     case-1 word (r_u is checked once, before the sweep)."""
     record = counting_grow_orbit(monkeypatch)
     calls = counting_raw_reflect(monkeypatch)
     report = verify_similitude_orbit(F5, 2)
     assert report["pass"] and report["expected_orbit_size"] == 6200
     assert record["calls"] == 0
-    assert 0 < calls[0] <= 2 * report["expected_orbit_size"]
+    assert 0 < calls[0] <= 2 * (5 ** 5 - 5 ** 2)
 
 
 def test_similitude_orbit_keeps_no_expected_set():

@@ -1,12 +1,13 @@
-"""Each check of `verify homogeneous` seen to fail.
+"""Each check of `verify homogeneous` and `verify similitude` seen to fail.
 
-Every row of FAULTS injects one fault into quadrics.action with monkeypatch
-and names the verdict it must turn false: a key of the report's `checks`,
-or `pass`.  The row runs through cli.main, which must then exit 1, after a
-clean run of the same cell has passed.  Rows run over an odd field and over
-characteristic 2, except where the fault needs one of them: the reversed
-case-2 word of the first level lands on x_0 in characteristic 2 by
-accident, and the Eichler maps serve only over F_2.
+Every row of FAULTS names a check, injects one fault into quadrics.action
+with monkeypatch and names the verdict it must turn false: a key of the
+report's `checks`, or `pass`.  The row runs through cli.main, which must
+then exit 1, after a clean run of the same cell has passed.  Rows run over
+an odd field and over characteristic 2, except where the fault needs one of
+them: the reversed case-2 word of the first level lands on x_0 in
+characteristic 2 by accident, and the Eichler maps and the similitude
+orbit's fallback pairs serve only over F_2.
 """
 
 import json
@@ -20,8 +21,8 @@ from quadrics.errors import SearchExhausted
 from quadrics.quadform import GroupElement
 
 
-def verify(capsys, n, q):
-    code = main(["verify", "homogeneous", "--n", str(n), "--field", str(q)])
+def verify(capsys, check, n, q):
+    code = main(["verify", check, "--n", str(n), "--field", str(q)])
     return code, json.loads(capsys.readouterr().out)
 
 
@@ -68,20 +69,29 @@ def sweep_changed(monkeypatch, change):
                         lambda space, force=False: change(real(space, force=force)))
 
 
-def levels_changed(monkeypatch, change):
-    """Pass each level below x_0 through change(level)."""
+def levels_changed(monkeypatch, change, top=False):
+    """Pass each level below x_0, or with top the level of x_0 alone,
+    through change(ctx, level)."""
     real = action._levels
 
     def levels(ctx, points):
         for i, level in enumerate(real(ctx, points)):
-            yield change(level) if i else level
+            yield change(ctx, level) if bool(i) != top else level
 
     monkeypatch.setattr(action, "_levels", levels)
 
 
-def first_auxiliary_only(level):
+def first_auxiliary_only(ctx, level):
     base, fixed, candidates, auxiliaries, u, eichler = level
     return base, fixed, candidates, auxiliaries[:1], u, eichler
+
+
+def wrong_u_inverse(ctx, level):
+    """u* = e_1 + e_{n+2}, a fixed letter of every case-1 word to x_0, with
+    1/q(u*) = 1 + 1: wrong over every field.  r_{u*} still fixes x_0, so
+    only the check of the letter sees it."""
+    base, fixed, candidates, auxiliaries, (u, inv_q), eichler = level
+    return base, fixed, candidates, auxiliaries, (u, ctx.field.raw_add(inv_q, 1)), eichler
 
 
 def order_changed(monkeypatch, kind):
@@ -106,58 +116,99 @@ def no_words(*args):
     raise SearchExhausted("no word")
 
 
-ODD, CHAR_2, F_2 = [(2, 3), (2, 5)], [(2, 4), (2, 8)], [(2, 2), (3, 2)]
+def sphere_changed(monkeypatch, change):
+    """Pass the similitude check's unit sphere, the level set of q = 1,
+    through change(vectors)."""
+    real = action._level_set
 
-# row id -> (the verdict that turns false, the fault, the cells)
+    def level_set(space, pair, slots, c, partner_one=False):
+        swept = real(space, pair, slots, c, partner_one)
+        return change(swept) if c == 1 else swept
+
+    monkeypatch.setattr(action, "_level_set", level_set)
+
+
+def wrong_inverse_in_first_pair(monkeypatch):
+    """The fallback's first pair r_a r_v, v the first direction after a with
+    v_1 != 0, given 1/q(v) + 1 (0 over F_2): r_v then fixes every vector,
+    and the orbit the fallback grows is the same set over F_2."""
+    real = action._directions
+
+    def directions(space):
+        letters = real(space)
+        i = next(i for i, (v, _) in enumerate(letters) if i and v[0])
+        v, inv_q = letters[i]
+        letters[i] = v, space.field.raw_add(inv_q, 1)
+        return letters
+
+    monkeypatch.setattr(action, "_directions", directions)
+
+
+ODD, CHAR_2, F_2 = [(2, 3), (2, 5)], [(2, 4), (2, 8)], [(2, 2), (3, 2)]
+H, S = "homogeneous", "similitude"
+
+# row id -> (the check, the verdict that turns false, the fault, the cells)
 FAULTS = {
-    "corrupted-top-letter": ("orbit_covers_quadric",
+    "corrupted-top-letter": (H, "orbit_covers_quadric",
                              lambda mp: rule_changed(mp, True, corrupted_letter), ODD + CHAR_2),
-    "reversed-top-case2": ("orbit_covers_quadric",
+    "reversed-top-case2": (H, "orbit_covers_quadric",
                            lambda mp: rule_changed(mp, True, reversed_case2), ODD),
-    "odd-top-word": ("orbit_stabilizer_product",
+    "corrupted-fixed-letter": (H, "orbit_covers_quadric",
+                               lambda mp: levels_changed(mp, wrong_u_inverse, top=True),
+                               ODD + CHAR_2),
+    "odd-top-word": (H, "orbit_stabilizer_product",
                      lambda mp: rule_changed(mp, True, case2_called_case1), ODD + CHAR_2),
-    "dropped-swept-point": ("orbit_stabilizer_product",
+    "dropped-swept-point": (H, "orbit_stabilizer_product",
                             lambda mp: sweep_changed(mp, lambda points: islice(points, 1, None)),
                             ODD + CHAR_2),
-    "repeated-swept-point": ("orbit_stabilizer_product",
+    "repeated-swept-point": (H, "orbit_stabilizer_product",
                              lambda mp: sweep_changed(mp, lambda points: chain(
                                  [next(points)] * 2, points)), ODD + CHAR_2),
-    "wrong-odd-order": ("orbit_stabilizer_product",
+    "wrong-odd-order": (H, "orbit_stabilizer_product",
                         lambda mp: order_changed(mp, "odd"), ODD + CHAR_2),
-    "dropped-auxiliary-families": ("stabilizer_order",
+    "dropped-auxiliary-families": (H, "stabilizer_order",
                                    lambda mp: levels_changed(mp, first_auxiliary_only),
                                    ODD + CHAR_2),
-    "wrong-even-order": ("stabilizer_order",
+    "wrong-even-order": (H, "stabilizer_order",
                          lambda mp: order_changed(mp, "even_split"), ODD + CHAR_2),
-    "no-eichler-step": ("stabilizer_order",
+    "no-eichler-step": (H, "stabilizer_order",
                         lambda mp: mp.setattr(action, "_eichler", identity_eichler), F_2),
-    "lower-letter-outside-even-slots": ("stabilizer_is_extended_even",
+    "lower-letter-outside-even-slots": (H, "stabilizer_is_extended_even",
                                         lambda mp: rule_changed(mp, False, outside_even_slots),
                                         ODD + CHAR_2),
-    "odd-lower-word": ("stabilizer_is_extended_even",
+    "odd-lower-word": (H, "stabilizer_is_extended_even",
                        lambda mp: rule_changed(mp, False, case2_called_case1), ODD + CHAR_2),
-    "non-isometric-eichler": ("stabilizer_is_extended_even",
+    "non-isometric-eichler": (H, "stabilizer_is_extended_even",
                               lambda mp: mp.setattr(action, "_eichler", half_eichler), F_2),
-    "no-words": ("pass", lambda mp: mp.setattr(action, "_two_reflections", no_words),
+    "no-words": (H, "pass", lambda mp: mp.setattr(action, "_two_reflections", no_words),
                  ODD + CHAR_2),
+    "dropped-sphere-vector": (S, "pass",
+                              lambda mp: sphere_changed(mp, lambda w: islice(w, 1, None)),
+                              ODD + CHAR_2 + F_2),
+    "repeated-sphere-vector": (S, "pass",
+                               lambda mp: sphere_changed(mp, lambda w: chain([next(w)] * 2, w)),
+                               ODD + CHAR_2 + F_2),
+    "wrong-fallback-inverse": (S, "pass", wrong_inverse_in_first_pair, F_2),
 }
-CASES = [(row, n, q) for row, (_, _, cells) in FAULTS.items() for n, q in cells]
+CASES = [(row, n, q) for row, (_, _, _, cells) in FAULTS.items() for n, q in cells]
 
 
 @pytest.mark.parametrize("row,n,q", CASES, ids=[f"{row}-{n}-{q}" for row, n, q in CASES])
 def test_fault_turns_its_verdict_false(capsys, monkeypatch, row, n, q):
-    key, inject, _ = FAULTS[row]
-    code, clean = verify(capsys, n, q)
+    check, key, inject, _ = FAULTS[row]
+    code, clean = verify(capsys, check, n, q)
     assert code == 0 and clean["pass"]
     inject(monkeypatch)
-    code, report = verify(capsys, n, q)
+    code, report = verify(capsys, check, n, q)
     verdict = report["pass"] if key == "pass" else report["checks"][key]
     assert code == 1 and verdict is False and report["pass"] is False
 
 
 def test_every_verdict_has_a_row(capsys):
-    _, report = verify(capsys, 1, 3)
-    assert {key for key, _, _ in FAULTS.values()} == set(report["checks"]) | {"pass"}
+    for check in (H, S):
+        _, report = verify(capsys, check, 1, 3)
+        rows = {key for c, key, _, _ in FAULTS.values() if c == check}
+        assert rows == set(report.get("checks", ())) | {"pass"}
 
 
 @pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (1, 4), (2, 4), (1, 8)],
@@ -167,5 +218,5 @@ def test_reversed_case2_word_lands_in_characteristic_2(capsys, monkeypatch, n, q
     the first level's case-2 words, letters reversed, still land on x_0, so
     the fault leaves the report passing."""
     rule_changed(monkeypatch, True, reversed_case2)
-    code, report = verify(capsys, n, q)
+    code, report = verify(capsys, H, n, q)
     assert code == 0 and report["pass"]
