@@ -39,6 +39,7 @@ from math import prod
 
 from .errors import (
     DimensionMismatch,
+    InfiniteField,
     InvalidPrimePower,
     InvariantViolation,
     QuadricsError,
@@ -603,7 +604,7 @@ def verify_similitude_orbit(field, n, force=False):
     each pair it grew with must be two reflections."""
     f, d = field, 2 * n + 2
     if not f.is_finite:
-        raise TooLarge("similitude orbit needs a finite field")
+        raise InfiniteField("similitude orbit needs a finite field")
     if not force and exceeds(f.q, d, VECTOR_GUARD):
         raise TooLarge(f"{f.q}^{d} vectors exceeds the sweep guard")
     space = SplitSpace.pointed_even(f, n)

@@ -8,8 +8,11 @@ are canonical, so equality is representation equality.  Each Field binds the
 raw operations, the linear-combination kernel and the string formatter on
 these representations for its kind when it is built.  It compiles a form
 or Gram kernel for an index-pair tuple on request, and a matmul or matvec
-kernel on the first product of each dimension; every generated kernel is
-one straight-line expression whose arithmetic comes from Field._term_sum.
+kernel on the first product of each dimension, each one straight-line
+expression; the census sweeps' block kernels (off_quadric,
+idempotent_check) are each one comprehension checking every vector of a
+list on its own coordinates.  Every generated kernel's arithmetic comes
+from Field._term_sum.
 Other modules compute and print only through them.
 """
 
@@ -341,17 +344,16 @@ class Field:
     # -- generated kernels -------------------------------------------------
 
     def _term_sum(self, terms):
-        """Source of the sum of x*y over the source pairs (x, y) in terms:
-        one sum reduced once mod p, nested add/mul table lookups in an
-        extension, a plain sum over Q.  Every generated kernel's arithmetic
-        is written here."""
+        """Source of the sum of x*y over the source pairs (x, y) in terms,
+        with a factor y written "1" left out: one sum reduced once mod p,
+        nested add/mul table lookups in an extension, a plain sum over Q.
+        Every generated kernel's arithmetic is written here."""
         if self.kind == "extension":
-            (x, y), *rest = terms
-            body = f"mul[{x}][{y}]"
-            for x, y in rest:
-                body = f"add[{body}][mul[{x}][{y}]]"
-            return body
-        body = " + ".join(f"{x}*{y}" for x, y in terms)
+            first, *rest = [x if y == "1" else f"mul[{x}][{y}]" for x, y in terms]
+            for term in rest:
+                first = f"add[{first}][{term}]"
+            return first
+        body = " + ".join(x if y == "1" else f"{x}*{y}" for x, y in terms)
         return f"({body}) % {self.p}" if self.kind == "prime" else body
 
     def _kernel(self, source):
@@ -378,6 +380,30 @@ class Field:
         values += [self._term_sum([(f"c{a}[{i}]", f"c{b}[{j}]") for i, j in both])
                    for a in range(d) for b in range(a + 1, d)]
         return self._kernel(f"lambda {_names('c', d)}: ({', '.join(values)},)")
+
+    def off_quadric(self, pairs):
+        """lambda ws: the first w in the list ws with q(w) != 0 or t(w) != 1,
+        or None, for q(x) = sum of x_i x_j over the index pairs (i, j) and
+        t(x) = x_i + x_j over the last pair: one comprehension evaluating
+        both on each w's own coordinates."""
+        q = self._term_sum([(f"w[{i}]", f"w[{j}]") for i, j in pairs])
+        t = self._term_sum([(f"w[{i}]", "1") for i in pairs[-1]])
+        return self._kernel(f"lambda ws: next((w for w in ws if {q} or {t} != 1), None)")
+
+    def idempotent_check(self, pairs):
+        """lambda xs: [(x^2 == x and t == 1, q == 0 and t == 1) for x in xs],
+        for q and t as in off_quadric, with x^2 = t x - q 1 written coordinate
+        by coordinate from each x's own t and q (1 = e_i + e_j over the last
+        pair)."""
+        minus = str(self.raw_neg(1))
+        one = pairs[-1]
+        square = " and ".join(
+            self._term_sum([("t", f"x[{i}]")] + [("q", minus)] * (i in one)) + f" == x[{i}]"
+            for i in range(2 * len(pairs)))
+        q = self._term_sum([(f"x[{i}]", f"x[{j}]") for i, j in pairs])
+        t = self._term_sum([(f"x[{i}]", "1") for i in one])
+        return self._kernel(f"lambda xs: [(t == 1 and {square}, q == 0 and t == 1) "
+                            f"for x in xs for t in [{t}] for q in [{q}]]")
 
     def _matmul_kernel(self, d):
         """lambda a0, .., b0, ..: the rows of a b, given the d rows of each."""

@@ -13,7 +13,10 @@ index pairs, generated by Field.bilinear on a space's first call and then
 kept on it: q(w) = f(w, w) over the hyperbolic pairs, and B(u, w) =
 f(u, w) over those pairs and their swaps.  The Gram kernel (Field.gram),
 kept the same way, gives q of each of dim columns and B of each pair of
-them in one call.  The trace is one field addition.
+them in one call.  The trace is one field addition.  The census sweeps
+check a list of vectors per call, through two more kernels kept the same way:
+Field.off_quadric (q and t of each point) and Field.idempotent_check (x^2 = x
+and q = 0, each with t = 1, of each vector).
 A reflection r_v(w) = w - c v is one call to the field's linear-combination
 kernel raw_lincomb, and raw_word applies a word of raw letters (v, 1/q(v))
 one reflection at a time.
@@ -123,6 +126,8 @@ _KERNELS = {
     "_q": lambda s: s.field.bilinear(s.pairs),
     "_b": lambda s: s.field.bilinear(s.pairs + tuple((j, i) for i, j in s.pairs)),
     "_gram": lambda s: s.field.gram(s.pairs, s.dim),
+    "_off_quadric": lambda s: s.field.off_quadric(s.pairs),
+    "_idempotent_check": lambda s: s.field.idempotent_check(s.pairs),
 }
 
 
@@ -130,7 +135,8 @@ class SplitSpace:
     """A split quadratic space of one of the two shapes above; its form
     kernels are built on first use, so constructing it compiles nothing."""
 
-    __slots__ = ("field", "shape", "n", "dim", "pairs", "_q", "_b", "_gram")
+    __slots__ = ("field", "shape", "n", "dim", "pairs", "_q", "_b", "_gram",
+                 "_off_quadric", "_idempotent_check")
 
     def __init__(self, field, shape, n):
         if shape not in SHAPES:
@@ -203,8 +209,8 @@ class SplitSpace:
     # -- the form, its polarization, and the trace -------------------------
 
     def __getattr__(self, name):
-        """An unset kernel slot (_q, _b, _gram): built here on first use and
-        kept in the slot."""
+        """An unset kernel slot (a key of _KERNELS): built here on first use
+        and kept in the slot."""
         if name not in _KERNELS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         kernel = _KERNELS[name](self)

@@ -7,7 +7,7 @@ coordinates w = (x_1..x_n, 1-z, -y_1..-y_n, z) identifies the two models
 over every ring: q(w) = z(1-z) - sum(x_i y_i) and t(w) = 1 identically.
 """
 
-from itertools import product
+from itertools import chain, product
 from math import log10
 
 from .errors import (
@@ -154,13 +154,21 @@ def enumerate_quadric(space, force=False):
 
 def _quadric_raws(space, force=False):
     """The ambient raw tuples of all points over a finite field, lazily, in
-    enumerate_quadric's order; each is checked for q(w) = 0 and t(w) = 1.
+    enumerate_quadric's order: the points of _quadric_blocks, block by
+    block."""
+    return chain.from_iterable(_quadric_blocks(space, force))
 
-    Enumerates the intrinsic model: for each (x, z) in lexicographic order
-    the solutions y of sum(x_i y_i) = z(1-z) form an affine subspace, swept
-    in lexicographic order of y, so the cost is proportional to q^(2n)
-    rather than q^(2n+2).  The field, shape and size are checked here,
-    before the first point is drawn.
+
+def _quadric_blocks(space, force=False):
+    """The points of each (x, z) fiber of the intrinsic model, as one
+    nonempty list per fiber, lazily, each point checked for q(w) = 0 and
+    t(w) = 1.
+
+    For each (x, z) in lexicographic order the solutions y of
+    sum(x_i y_i) = z(1-z) form an affine subspace, swept in lexicographic
+    order of y, so the cost is proportional to q^(2n) rather than q^(2n+2).
+    The field, shape and size are checked here, before the first point is
+    drawn.
     """
     _point_guard(space.field, space.n, force)
     if space.shape != "pointed_even":
@@ -179,7 +187,7 @@ def _point_guard(field, n, force=False):
 
 
 def _sweep_quadric(space):
-    """The sweep behind _quadric_raws, once its checks have passed.
+    """The sweep behind _quadric_blocks, once its checks have passed.
 
     Only the pivot coordinate y_p (the last i with x_i != 0, or y_n when
     x = 0) depends on z.  So each x builds, once for all q values of z, the
@@ -187,12 +195,14 @@ def _sweep_quadric(space):
     s = sum_{i != p} x_i y_i, and a table taking c = z(1-z) - s, indexed by
     its raw value, to the values of -y_p that solve x_p y_p = c: the one
     value -c / x_p, or every value when x = 0 and c = 0.  The rows take
-    O(q^(n-1)) space and the table O(q), never a list of points.  A point
-    then costs one raw_sub, one lookup and its own checks.
+    O(q^(n-1)) space and the table O(q).  A fiber's points are then built
+    by one subtraction and one lookup per row, and one call of the compiled
+    block kernel space._off_quadric evaluates q and t on each point's own
+    coordinates; raw_q runs only on a point it flags, to name the failure.
     """
     f, n = space.field, space.n
     add, sub, mul, neg = f.raw_add, f.raw_sub, f.raw_mul, f.raw_neg
-    raw_q, raw_trace, one = space.raw_q, space.raw_trace, f.one.rep
+    off_quadric = space._off_quadric
     rng = range(f.q)
     for x in product(rng, repeat=n):
         pivot = next((i for i in reversed(range(n)) if x[i]), n - 1)
@@ -210,17 +220,16 @@ def _sweep_quadric(space):
         else:
             solve = [tuple(map(neg, rng))] + [()] * (f.q - 1)
         for z in rng:
-            rhs = mul(z, sub(1, z))
-            head, tail = x + (sub(1, z),), (z,)
-            for left, s, right in rows:
-                for p in solve[sub(rhs, s)]:
-                    # w = (x_1..x_n, 1-z, -y_1..-y_n, z), as to_ambient builds it
-                    w = head + left + (p,) + right + tail
-                    if raw_q(w) != 0:
-                        raise InvariantViolation("q(w) != 0")
-                    if raw_trace(w) != one:
-                        raise InvariantViolation("t(w) != 1")
-                    yield w
+            u = sub(1, z)
+            rhs = mul(z, u)
+            # w = (x_1..x_n, 1-z, -y_1..-y_n, z), as to_ambient builds it
+            block = [(*x, u, *left, p, *right, z)
+                     for left, s, right in rows for p in solve[sub(rhs, s)]]
+            bad = off_quadric(block)
+            if bad is not None:
+                raise InvariantViolation("q(w) != 0" if space.raw_q(bad) else "t(w) != 1")
+            if block:
+                yield block
 
 
 def count_closed_form(n, q):
@@ -320,9 +329,10 @@ def count_report(n, field=None, q=None, force=False):
     if field is not None and n >= 1:
         space = SplitSpace.pointed_even(field, n)
         count = opens = 0
-        for w in _quadric_raws(space, force=force):
-            count += 1
-            opens += w[n - 1] != 0   # stratify's open cell: x_n != 0
+        for block in _quadric_blocks(space, force):
+            count += len(block)
+            if block[0][n - 1]:   # stratify's open cell, x_n != 0, holds whole fibers
+                opens += len(block)
         report["count"] = count
         report["strata"] = {"open": opens, "closed": count - opens}
         report["match"] = (count == closed == rec)

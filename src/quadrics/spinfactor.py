@@ -11,9 +11,10 @@ x^2 = x and t(x) = 1, are exactly the points of the quadric: the squaring
 identity at t(x) = 1 reads x - q(x) 1 = x, forcing q(x) = 0.
 """
 
+from collections import Counter
 from itertools import product
 
-from .errors import TooLarge
+from .errors import InfiniteField, TooLarge
 from .guards import ENUM_GUARD, exceeds
 from .quadform import SplitSpace, Vector
 
@@ -75,35 +76,31 @@ def verify_projective_space(field, n, force=False):
     """Exhaustively compare {x : x^2 = x, t(x) = 1} with the quadric point
     set over a finite field.  Both sets lie in the hyperplane t(x) = 1, so
     only it is swept: x_1..x_{2n+1} run over F_q and x_{2n+2} = 1 - x_{n+1},
-    q^{2n+1} vectors, each tested against both predicates, with t(x) and
-    q(x) evaluated once per vector."""
+    q^{2n+1} vectors in lexicographic order.  They go in blocks of the q^k
+    consecutive vectors that share all but their last k = min(n, 2) free
+    coordinates to the compiled kernel space._idempotent_check, which tests
+    each against both predicates on its own coordinates, with t(x) and q(x)
+    evaluated once and x^2 = t x - q 1 built from them."""
     if not field.is_finite:
-        raise TooLarge("the projective-space check enumerates a finite field")
+        raise InfiniteField("the projective-space check enumerates a finite field")
     if not force and exceeds(field.q, 2 * n + 2, ENUM_GUARD):
         raise TooLarge(f"{field.q}^{2 * n + 2} vectors exceeds the guard")
-    sf = SpinFactor(field, n)
-    space = sf.space
-    square, raw_trace, raw_q = sf._raw_square, space.raw_trace, space.raw_q
-    sub, one = field.raw_sub, field.one.rep
-    idempotents = 0
-    quadric_points = 0
-    agree = True
-    for head in product(range(field.q), repeat=space.dim - 1):
-        raws = head + (sub(one, head[n]),)
-        # both predicates ask for t(x) = 1, which the sweep makes true
-        t, q = raw_trace(raws), raw_q(raws)
-        trace_one = t == one
-        is_idem = trace_one and square(raws, t, q) == raws
-        is_point = trace_one and q == 0
-        idempotents += is_idem
-        quadric_points += is_point
-        agree = agree and (is_idem == is_point)
+    space = SplitSpace.pointed_even(field, n)
+    check, sub, rng = space._idempotent_check, field.raw_sub, range(field.q)
+    k = min(n, 2)   # the free coordinates after x_{n+1}, which fixes x_{2n+2}
+    # the last k free coordinates and x_{2n+2}, by the value of x_{n+1}
+    tails = [[s + (sub(1, c),) for s in product(rng, repeat=k)] for c in rng]
+    verdicts = Counter()   # (idempotent, quadric point) -> vectors
+    for head in product(rng, repeat=2 * n + 1 - k):
+        verdicts.update(check([head + s for s in tails[head[n]]]))
+    both = verdicts[True, True]
+    agree = not verdicts[True, False] and not verdicts[False, True]
     return {
         "check": "spin_projective",
         "n": n,
         "field": str(field),
-        "idempotents": idempotents,
-        "quadric_points": quadric_points,
+        "idempotents": both + verdicts[True, False],
+        "quadric_points": both + verdicts[False, True],
         "equal": agree,
         "pass": agree,
     }

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadrics import cli, quadric
-from quadrics.action import GroupContext
+from quadrics.action import GroupContext, verify_homogeneous, verify_similitude_orbit
+from quadrics.errors import InfiniteField
 from quadrics.cli import main
 from quadrics.fields import Field
+from quadrics.spinfactor import verify_projective_space
 
 
 def run(capsys, *argv):
@@ -475,6 +477,31 @@ def test_count_over_rationals_is_a_config_error(capsys):
     assert captured.err == "error: cannot count points over the rationals\n"
 
 
+RATIONAL_REFUSALS = {
+    "count": "cannot count points over the rationals",
+    "homogeneous": "cannot enumerate points over the rationals",
+    "similitude": "similitude orbit needs a finite field",
+    "spin": "the projective-space check enumerates a finite field",
+}
+
+
+@pytest.mark.parametrize("kind", RATIONAL_REFUSALS, ids=list(RATIONAL_REFUSALS))
+def test_finite_checks_over_rationals_raise_infinite_field(capsys, kind):
+    """Every command that enumerates a finite field refuses Q with
+    InfiniteField, exit 2, not with a size guard's TooLarge."""
+    calls = {"count": lambda: quadric.count_report(1, field=Field.rationals()),
+             "homogeneous": lambda: verify_homogeneous(Field.rationals(), 1),
+             "similitude": lambda: verify_similitude_orbit(Field.rationals(), 1),
+             "spin": lambda: verify_projective_space(Field.rationals(), 1)}
+    with pytest.raises(InfiniteField, match=RATIONAL_REFUSALS[kind]):
+        calls[kind]()
+    argv = ["count"] if kind == "count" else ["verify", kind]
+    code = main(argv + ["--n", "1", "--field", "Q"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {RATIONAL_REFUSALS[kind]}\n"
+
+
 def test_transport_over_rationals(capsys):
     code, out = run(capsys, "transport", "--n", "1", "--field", "Q",
                     "--point", "1,-2,6,3")
@@ -785,6 +812,40 @@ CENSUS_GOLDEN = {
   "field": "7",
   "idempotents": 2450,
   "quadric_points": 2450,
+  "equal": true,
+  "pass": true
+}
+""",
+    # printed before the sweeps checked their vectors in compiled blocks
+    ("count", "--n", "3", "--field", "5"): """{
+  "n": 3,
+  "field": "5",
+  "closed_form": 15750,
+  "recursive": 15750,
+  "count": 15750,
+  "strata": {
+    "open": 12500,
+    "closed": 3250
+  },
+  "match": true
+}
+""",
+    ("verify", "spin", "--n", "1", "--field", "2^4"): """{
+  "check": "spin_projective",
+  "n": 1,
+  "field": "2^4",
+  "idempotents": 272,
+  "quadric_points": 272,
+  "equal": true,
+  "pass": true
+}
+""",
+    ("verify", "spin", "--n", "2", "--field", "5"): """{
+  "check": "spin_projective",
+  "n": 2,
+  "field": "5",
+  "idempotents": 650,
+  "quadric_points": 650,
   "equal": true,
   "pass": true
 }

@@ -1,29 +1,43 @@
-"""Each check of `verify homogeneous` and `verify similitude` seen to fail.
+"""Each check of `verify homogeneous`, `verify similitude`, `verify spin` and
+`count` seen to fail.
 
-Every row of FAULTS names a check, injects one fault into quadrics.action
-with monkeypatch and names the verdict it must turn false: a key of the
-report's `checks`, or `pass`.  The row runs through cli.main, which must
-then exit 1, after a clean run of the same cell has passed.  Rows run over
-an odd field and over characteristic 2, except where the fault needs one of
-them: the reversed case-2 word of the first level lands on x_0 in
-characteristic 2 by accident, and the Eichler maps and the similitude
-orbit's fallback pairs serve only over F_2.
+Every row of FAULTS names a check, injects one fault with monkeypatch and
+names the verdict it must turn false: a key of the report's `checks`, or
+one of its top-level booleans (`pass`, spin's `equal`, count's `match`).
+The faults go into quadrics.action, the census block sweep of
+quadrics.quadric, or a block kernel slot of quadrics.quadform._KERNELS.
+The row runs through cli.main, which must then exit 1, after a clean run of
+the same cell has passed.  Rows run over an odd field and over
+characteristic 2, except where the fault needs one of them: the reversed
+case-2 word of the first level lands on x_0 in characteristic 2 by
+accident, and the Eichler maps and the similitude orbit's fallback pairs
+serve only over F_2.
 """
 
 import json
+from functools import partial
 from itertools import chain, islice
 
 import pytest
 
 import quadrics.action as action
+import quadrics.quadric as quadric
 from quadrics.cli import main
 from quadrics.errors import SearchExhausted
-from quadrics.quadform import GroupElement
+from quadrics.quadform import _KERNELS, GroupElement
 
 
 def verify(capsys, check, n, q):
-    code = main(["verify", check, "--n", str(n), "--field", str(q)])
+    argv = ["count"] if check == C else ["verify", check]
+    code = main(argv + ["--n", str(n), "--field", str(q)])
     return code, json.loads(capsys.readouterr().out)
+
+
+def verdicts(report):
+    """The keys of the report's `checks` and its top-level booleans, with
+    their values."""
+    top = {key: value for key, value in report.items() if isinstance(value, bool)}
+    return {**report.get("checks", {}), **top}
 
 
 def rule_changed(monkeypatch, top, change):
@@ -144,8 +158,35 @@ def wrong_inverse_in_first_pair(monkeypatch):
     monkeypatch.setattr(action, "_directions", directions)
 
 
+def blocks_changed(monkeypatch, change):
+    """Pass the census point sweep's first block, one (x, z) fiber, through
+    change(block)."""
+    real = quadric._sweep_quadric
+
+    def sweep(space):
+        blocks = real(space)
+        return chain([change(next(blocks))], blocks)
+
+    monkeypatch.setattr(quadric, "_sweep_quadric", sweep)
+
+
+def kernel_changed(monkeypatch, slot, call):
+    """The block kernel in that slot of each space built from here on, called
+    as call(kernel, block)."""
+    build = _KERNELS[slot]
+    monkeypatch.setitem(_KERNELS, slot, lambda space: partial(call, build(space)))
+
+
+def first_verdict(verdict):
+    """The spin kernel with its first vector's verdict replaced by verdict:
+    (True, False) an idempotent that is no quadric point, (False, True) a
+    quadric point that is no idempotent."""
+    return lambda mp: kernel_changed(
+        mp, "_idempotent_check", lambda kernel, block: [verdict] + kernel(block)[1:])
+
+
 ODD, CHAR_2, F_2 = [(2, 3), (2, 5)], [(2, 4), (2, 8)], [(2, 2), (3, 2)]
-H, S = "homogeneous", "similitude"
+H, S, SPIN, C = "homogeneous", "similitude", "spin", "count"
 
 # row id -> (the check, the verdict that turns false, the fault, the cells)
 FAULTS = {
@@ -189,6 +230,12 @@ FAULTS = {
                                lambda mp: sphere_changed(mp, lambda w: chain([next(w)] * 2, w)),
                                ODD + CHAR_2 + F_2),
     "wrong-fallback-inverse": (S, "pass", wrong_inverse_in_first_pair, F_2),
+    "idempotent-off-quadric": (SPIN, "equal", first_verdict((True, False)), ODD + CHAR_2),
+    "point-not-idempotent": (SPIN, "pass", first_verdict((False, True)), ODD + CHAR_2),
+    "dropped-block-point": (C, "match", lambda mp: blocks_changed(mp, lambda b: b[1:]),
+                            ODD + CHAR_2),
+    "repeated-block-point": (C, "match", lambda mp: blocks_changed(mp, lambda b: b[:1] + b),
+                             ODD + CHAR_2),
 }
 CASES = [(row, n, q) for row, (_, _, _, cells) in FAULTS.items() for n, q in cells]
 
@@ -197,18 +244,18 @@ CASES = [(row, n, q) for row, (_, _, _, cells) in FAULTS.items() for n, q in cel
 def test_fault_turns_its_verdict_false(capsys, monkeypatch, row, n, q):
     check, key, inject, _ = FAULTS[row]
     code, clean = verify(capsys, check, n, q)
-    assert code == 0 and clean["pass"]
+    assert code == 0 and all(verdicts(clean).values())
     inject(monkeypatch)
     code, report = verify(capsys, check, n, q)
-    verdict = report["pass"] if key == "pass" else report["checks"][key]
-    assert code == 1 and verdict is False and report["pass"] is False
+    found = verdicts(report)
+    assert code == 1 and found[key] is False and found.get("pass") is not True
 
 
 def test_every_verdict_has_a_row(capsys):
-    for check in (H, S):
+    for check in (H, S, SPIN, C):
         _, report = verify(capsys, check, 1, 3)
         rows = {key for c, key, _, _ in FAULTS.values() if c == check}
-        assert rows == set(report.get("checks", ())) | {"pass"}
+        assert rows == set(verdicts(report))
 
 
 @pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (1, 4), (2, 4), (1, 8)],

@@ -1,7 +1,7 @@
 import builtins
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +17,8 @@ from quadrics import fields
 from quadrics.action import GroupContext, enumerate_isometries
 from quadrics.cli import main
 from quadrics.fields import Field, FieldElement
+from quadrics.quadric import _quadric_raws
+from quadrics.spinfactor import SpinFactor
 from quadrics.quadform import (
     SHAPES,
     GroupElement,
@@ -163,8 +165,10 @@ def test_construction_compiles_nothing(compiled_sources):
 def test_count_compiles_each_source_once(compiled_sources, capsys):
     for _ in range(2):
         assert main(["count", "--n", "2", "--field", "3"]) == 0
-    # q on the pointed even space, compiled on first use; the trace is one addition
+    # the block kernel checking q and t on each point of a fiber, compiled on
+    # first use; raw_q's own kernel only names a point the block kernel flags
     assert len(compiled_sources) == len(set(compiled_sources)) == 1
+    assert compiled_sources[0].startswith("lambda ws: next((w for w in ws if ")
 
 
 def test_polarization_identity_exhaustive():
@@ -458,6 +462,47 @@ def test_gram_kernel_is_q_on_each_column_and_b_on_each_pair(f):
                 m = GroupElement(f, [[rng.choice(elements) for _ in range(s.dim)]
                                      for _ in range(s.dim)])
                 assert list(s._gram(*zip(*m.rows))) == _gram(s, m)
+
+
+AGREEMENT_FIELDS = ["3", "5", "2^2", "3^2", "2^4"]
+# every vector of each space, except GF(16) at n = 2: 16^6 vectors, sampled
+AGREEMENT_SAMPLE = 20000
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["n1", "n2"])
+@pytest.mark.parametrize("spec", AGREEMENT_FIELDS, ids=AGREEMENT_FIELDS)
+def test_block_kernels_agree_with_the_scalar_forms(spec, n):
+    """The census block kernels, vector by vector, against raw_q, raw_trace
+    and SpinFactor._raw_square: on every vector, in blocks of q^2 that each
+    end with a vector off the quadric (1, with q = 1), so a kernel that
+    skips the tail of a block fails."""
+    field = Field.parse(spec)
+    sf = SpinFactor(field, n)
+    space, one = sf.space, sf.one.raws
+    if field.q ** space.dim <= 10 ** 6:
+        vectors = product(range(field.q), repeat=space.dim)
+    else:
+        rng = random.Random(f"{spec}-{n}")
+        vectors = (tuple(rng.randrange(field.q) for _ in range(space.dim))
+                   for _ in range(AGREEMENT_SAMPLE))
+
+    def verdict(w):
+        """(x^2 == x and t == 1, q == 0 and t == 1) from the scalar forms."""
+        t, q = space.raw_trace(w), space.raw_q(w)
+        return t == 1 and sf._raw_square(w, t, q) == w, t == 1 and q == 0
+
+    off_quadric, check = space._off_quadric, space._idempotent_check
+    while block := list(islice(vectors, field.q ** 2)):
+        block.append(one)
+        expected = list(map(verdict, block))
+        assert check(block) == expected
+        on = [point for _, point in expected]
+        assert [off_quadric([w]) is None for w in block] == on
+        assert off_quadric(block) == block[on.index(False)]
+    points = list(_quadric_raws(space))
+    assert off_quadric(points) is None
+    assert off_quadric(points + [one]) == one
+    assert check(points + [one]) == [(True, True)] * len(points) + [(False, False)]
 
 
 def _reference_verdict(space, m, want):

@@ -38,11 +38,14 @@ def test_ambient_invariant_checked():
         AmbientQuadricPoint(s, s.one_vector())    # q(1) = 1
 
 
-@pytest.mark.parametrize("n,q", [(1, 3), (2, 2), (2, 4)])
-def test_enumerated_points_are_checked_once(monkeypatch, n, q):
-    """The sweep checks q(w) = 0 and t(w) = 1 on each point, once each;
-    wrapping the tuples as points does not check them again."""
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 2), (2, 4)], ids=["1-3", "2-2", "2-4"])
+def test_enumerated_points_are_checked_once(monkeypatch, kernel_blocks, n, q):
+    """The sweep hands each point, once and in order, to the block kernel that
+    checks q(w) = 0 and t(w) = 1, one fiber per call, and calls raw_q and
+    raw_trace on none; wrapping the tuples as points does not check them
+    again."""
     space = SplitSpace.pointed_even(Field.of_order(q), n)
+    blocks = kernel_blocks("_off_quadric")
     calls = {"raw_q": 0, "raw_trace": 0}
 
     def counting(name):
@@ -56,17 +59,27 @@ def test_enumerated_points_are_checked_once(monkeypatch, n, q):
     for name in calls:
         monkeypatch.setattr(SplitSpace, name, counting(name))
     points = enumerate_quadric(space)
-    assert calls["raw_q"] == calls["raw_trace"] == len(points) \
-        == count_closed_form(n, q)
+    assert calls == {"raw_q": 0, "raw_trace": 0}
+    checked = [w for block in blocks for w in block]
+    assert checked == [p.w.raws for p in points]
+    assert len(set(checked)) == len(checked) == count_closed_form(n, q)
+    assert len(blocks) == q ** (n + 1)   # one call per (x, z) fiber, empty ones too
     monkeypatch.undo()
     assert all(p == AmbientQuadricPoint(space, p.w) and p.n == n for p in points)
 
 
 @pytest.mark.parametrize("name,value,message", [("raw_q", 1, "q(w) != 0"),
-                                                ("raw_trace", 0, "t(w) != 1")])
-def test_sweep_checks_fire_on_the_first_point(monkeypatch, name, value, message):
+                                                ("raw_trace", 0, "t(w) != 1")],
+                         ids=["raw_q-1-q(w) != 0", "raw_trace-0-t(w) != 1"])
+def test_sweep_checks_fire_on_the_first_point(kernel_blocks, name, value, message):
+    """The first point swept is replaced, as the kernel gets it, by a vector
+    whose raw_q (or raw_trace) is value: 1 = e_{n+1} + e_{2n+2} with q = 1,
+    or 0 with t = 0.  The kernel flags it, and the message names the form
+    that fails, before any point is drawn."""
     space = SplitSpace.pointed_even(F3, 2)
-    monkeypatch.setattr(SplitSpace, name, lambda self, raws: value)
+    planted = {"raw_q": space.one_vector(), "raw_trace": space.zero_vector()}[name].raws
+    assert getattr(space, name)(planted) == value
+    kernel_blocks("_off_quadric", lambda kernel, block: kernel([planted] + block[1:]))
     points = _quadric_raws(space)
     with pytest.raises(InvariantViolation, match=re.escape(message)):
         next(points)
@@ -90,8 +103,10 @@ def test_from_ambient_examples():
         IntrinsicQuadricPoint.of(F2, [0], [0], 1)
 
 
-@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3),
-                                 (2, 4), (2, 5)])
+ROUND_TRIP_CELLS = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5)]
+
+
+@pytest.mark.parametrize("n,q", ROUND_TRIP_CELLS, ids=[f"{n}-{q}" for n, q in ROUND_TRIP_CELLS])
 def test_round_trip_bijection(n, q):
     space = SplitSpace.pointed_even(Field.of_order(q), n)
     points = enumerate_quadric(space)
@@ -120,7 +135,8 @@ def test_base_point():
         assert is_on_quadric(s, b.w)
 
 
-@pytest.mark.parametrize("n,q,expected", [(1, 2, 6), (1, 3, 12), (2, 2, 20)])
+@pytest.mark.parametrize("n,q,expected", [(1, 2, 6), (1, 3, 12), (2, 2, 20)],
+                         ids=["1-2-6", "1-3-12", "2-2-20"])
 def test_enumerate_counts(n, q, expected):
     space = SplitSpace.pointed_even(Field.of_order(q), n)
     assert len(enumerate_quadric(space)) == expected

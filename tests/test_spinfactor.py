@@ -91,7 +91,10 @@ def test_idempotent_trace_one_forces_isotropy():
                 assert q == f.zero
 
 
-@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
+PROJECTION_CELLS = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("q,n", PROJECTION_CELLS, ids=[f"{q}-{n}" for q, n in PROJECTION_CELLS])
 def test_projections_are_quadric_points(q, n):
     report = verify_projective_space(Field.of_order(q), n)
     assert report["pass"]
@@ -119,13 +122,19 @@ def projective_space_report_full_cube(field, n):
             "equal": agree, "pass": agree}
 
 
-@pytest.mark.parametrize("q,n", [("2", 1), ("3", 1), ("2^2", 1), ("2", 2), ("3", 2)])
+FULL_CUBE_CELLS = [("2", 1), ("3", 1), ("2^2", 1), ("2", 2), ("3", 2)]
+
+
+@pytest.mark.parametrize("q,n", FULL_CUBE_CELLS, ids=[f"{q}-{n}" for q, n in FULL_CUBE_CELLS])
 def test_hyperplane_sweep_matches_full_cube(q, n):
     field = Field.parse(q)
     assert verify_projective_space(field, n) == projective_space_report_full_cube(field, n)
 
 
-def test_projective_check_sweeps_only_the_trace_one_hyperplane(monkeypatch):
+def test_projective_check_sweeps_only_the_trace_one_hyperplane(monkeypatch, kernel_blocks):
+    """The blocks the kernel gets are the trace-one hyperplane, 3^3 of the
+    cube's 3^4 vectors, in lexicographic order, each vector once, and
+    raw_trace is never called."""
     calls = 0
     raw_trace = SplitSpace.raw_trace
 
@@ -135,12 +144,22 @@ def test_projective_check_sweeps_only_the_trace_one_hyperplane(monkeypatch):
         return raw_trace(self, raws)
 
     monkeypatch.setattr(SplitSpace, "raw_trace", counted)
+    blocks = kernel_blocks("_idempotent_check")
     assert verify_projective_space(F3, 1)["pass"]
-    assert calls == 3 ** 3   # once per swept vector; the full cube made 3^4 + 3^3 = 108
+    assert calls == 0
+    assert [x for block in blocks for x in block] == \
+        [h + ((1 - h[1]) % 3,) for h in product(range(3), repeat=3)]
 
 
-@pytest.mark.parametrize("q,n", [("3", 1), ("2^2", 1), ("3", 2)])
-def test_projective_check_evaluates_q_once_per_vector(monkeypatch, q, n):
+HYPERPLANE_CELLS = [("3", 1), ("2^2", 1), ("3", 2), ("2^4", 2)]
+
+
+@pytest.mark.parametrize("q,n", HYPERPLANE_CELLS, ids=[f"{q}-{n}" for q, n in HYPERPLANE_CELLS])
+def test_projective_check_evaluates_q_once_per_vector(monkeypatch, kernel_blocks, q, n):
+    """q, like t and x^2, is evaluated inside the block kernel, which gets
+    each of the q^{2n+1} vectors of the hyperplane once, in blocks of the
+    q^min(n, 2) vectors that differ in their last free coordinates, and
+    gives one verdict per vector; raw_q is never called."""
     calls = 0
     raw_q = SplitSpace.raw_q
 
@@ -151,8 +170,21 @@ def test_projective_check_evaluates_q_once_per_vector(monkeypatch, q, n):
 
     monkeypatch.setattr(SplitSpace, "raw_q", counted)
     field = Field.parse(q)
+    verdicts = []
+
+    def judged(kernel, block):
+        verdicts.append(kernel(block))
+        return verdicts[-1]
+
+    blocks = kernel_blocks("_idempotent_check", judged)
     assert verify_projective_space(field, n)["pass"]
-    assert calls == field.q ** (2 * n + 1)
+    assert calls == 0
+    swept = [x for block in blocks for x in block]
+    assert len(set(swept)) == len(swept) == field.q ** (2 * n + 1)
+    assert all(field.raw_add(x[n], x[-1]) == 1 for x in swept)
+    assert {len(block) for block in blocks} == {field.q ** min(n, 2)}
+    assert [len(v) for v in verdicts] == [len(block) for block in blocks]
+    assert all(len({x[:-1 - min(n, 2)] for x in block}) == 1 for block in blocks)
 
 
 def test_so_model_acts_by_jordan_automorphisms():
